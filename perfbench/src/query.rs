@@ -16,7 +16,7 @@ use pta_core::{
 };
 use pta_ita::{ItaQuerySpec, StreamingIta};
 use pta_temporal::csv::parse_schema;
-use pta_temporal::{Schema, SequentialRelation};
+use pta_temporal::Schema;
 
 use crate::gen::{self, Csv};
 use crate::report::{Layers, Report};
@@ -24,8 +24,8 @@ use crate::stats::{self, Timing};
 use crate::trace::{SpanId, Tracer};
 use crate::Config;
 
-/// About 100 `(Dept, Proj)` groups, a third with a second period:
-/// ~16.5k rows, ITA n ≈ 15k.
+/// 100 `(Dept, Proj)` groups, 30 with a second period: ~17.5k rows,
+/// ITA n ≈ 10.9k, cmin = 130.
 const GROUPED: gen::IncumbentsShape = gen::IncumbentsShape { groups: 100, staff: 16, months: 600 };
 
 /// ~40k careers of 1–10 contracts: ~220k rows, ~9 MB of CSV.
@@ -40,8 +40,8 @@ struct Workload {
     grouping: &'static [&'static str],
     bound: Bound,
     algorithm: Algorithm,
-    /// Set-ups per round: cheap set-ups repeat more often, so their
-    /// fastest sample rests on as many samples as the query's.
+    /// Set-ups per round: a set-up much cheaper than the query repeats
+    /// more often, so its median rests on more samples than one a round.
     setup_reps: usize,
 }
 
@@ -97,47 +97,79 @@ pub fn stream_greedy(cfg: &Config, report: &mut Report) -> Result<(), String> {
 struct Signature {
     sse_bits: u64,
     ranges: Vec<Range<usize>>,
+    /// Output tuples of the reduction, and rows of the rendered table.
+    tuples: usize,
     rows: usize,
 }
 
+impl Signature {
+    fn of(reduction: &Reduction, rows: usize) -> Signature {
+        Signature {
+            sse_bits: reduction.sse().to_bits(),
+            ranges: reduction.source_ranges().to_vec(),
+            tuples: reduction.len(),
+            rows,
+        }
+    }
+}
+
 /// Checks query outputs: the first in full, every later one against it.
+/// It keeps no ITA output between checks. The first check recomputes one
+/// and drops it before it returns, and the caller drops the query's
+/// output before that check, so that the benchmark's own copies stay
+/// below the peak memory of the queries it measures.
 struct Checker {
-    seq: SequentialRelation,
+    spec: ItaQuerySpec,
     bound: Bound,
     /// gPTAc's SSE at the same size (size bound) or `ε·E_max` (error
     /// bound): the SSE no correct output may exceed.
     limit: f64,
+    /// `ita.tuples_out`, `ita.groups` and `ita.cmin` of the ITA output.
+    tuples_out: usize,
+    groups: usize,
+    cmin: usize,
     first: Option<Signature>,
 }
 
 impl Checker {
     fn new(w: &Workload, rel: &TemporalRelation, cfg: &Config) -> Result<Checker, String> {
-        let seq = pta_ita::ita(rel, &w.spec()).map_err(|e| format!("ita: {e}"))?;
-        let limit = match w.bound {
+        // gPTAc runs before the checker's ITA output exists, so that the
+        // two never hold memory at the same time.
+        let greedy_sse = match w.bound {
             Bound::Size(c) => {
-                if seq.cmin() != w.csv.runs {
-                    return Err(format!(
-                        "ITA cmin {} but the generator made {} runs",
-                        seq.cmin(),
-                        w.csv.runs
-                    ));
-                }
                 let greedy =
                     w.query(cfg.threads).algorithm(Algorithm::Greedy { delta: Delta::Finite(1) });
                 let out = greedy.execute(rel).map_err(|e| format!("gPTAc at c={c}: {e}"))?;
-                out.reduction.sse()
+                Some(out.reduction.sse())
             }
-            Bound::Error(eps) => eps * stats::max_error(&seq),
+            Bound::Error(_) => None,
         };
-        Ok(Checker { seq, bound: w.bound, limit, first: None })
+        let spec = w.spec();
+        let seq = pta_ita::ita(rel, &spec).map_err(|e| format!("ita: {e}"))?;
+        let limit = match (w.bound, greedy_sse) {
+            (Bound::Error(eps), _) => eps * stats::max_error(&seq),
+            (Bound::Size(_), Some(sse)) if seq.cmin() == w.csv.runs => sse,
+            (Bound::Size(_), _) => {
+                return Err(format!(
+                    "ITA cmin {} but the generator made {} runs",
+                    seq.cmin(),
+                    w.csv.runs
+                ))
+            }
+        };
+        Ok(Checker {
+            spec,
+            bound: w.bound,
+            limit,
+            tuples_out: seq.len(),
+            groups: seq.group_keys().len(),
+            cmin: seq.cmin(),
+            first: None,
+        })
     }
 
-    fn check(&mut self, reduction: &Reduction, rows: usize) -> Result<(), String> {
-        let sig = Signature {
-            sse_bits: reduction.sse().to_bits(),
-            ranges: reduction.source_ranges().to_vec(),
-            rows,
-        };
+    /// Checks one output of a query over `rel`.
+    fn check(&mut self, sig: Signature, rel: &TemporalRelation) -> Result<(), String> {
         if let Some(first) = &self.first {
             return if *first == sig {
                 Ok(())
@@ -145,13 +177,19 @@ impl Checker {
                 Err("a repetition's output differs from the first".to_string())
             };
         }
-        let sse = stats::check_reduction(&self.seq, &sig.ranges, reduction.sse())?;
-        if rows != reduction.len() {
-            return Err(format!("table has {rows} rows, reduction {}", reduction.len()));
+        let seq = pta_ita::ita(rel, &self.spec).map_err(|e| format!("ita: {e}"))?;
+        let sse = stats::check_reduction(&seq, &sig.ranges, f64::from_bits(sig.sse_bits))?;
+        if sig.ranges.len() != sig.tuples || sig.rows != sig.tuples {
+            return Err(format!(
+                "{} tuples with {} source ranges render to {} rows",
+                sig.tuples,
+                sig.ranges.len(),
+                sig.rows
+            ));
         }
         if let Bound::Size(c) = self.bound {
-            if reduction.len() > c {
-                return Err(format!("{} tuples exceed the size bound {c}", reduction.len()));
+            if sig.tuples > c {
+                return Err(format!("{} tuples exceed the size bound {c}", sig.tuples));
             }
         }
         if sse > self.limit * (1.0 + 1e-9) {
@@ -228,14 +266,16 @@ fn run(cfg: &Config, report: &mut Report, w: &Workload) -> Result<(), String> {
         report.check(match out {
             Ok(out) => {
                 queries.push(elapsed);
-                checker.check(&out.reduction, out.table.len())
+                let sig = Signature::of(&out.reduction, out.table.len());
+                drop(out);
+                checker.check(sig, &rel)
             }
             Err(e) => Err(format!("execute: {e}")),
         });
         if cfg.trace {
             let c = compose(w, &rel, cfg.threads, &mut tracer, round);
             report.check(c.and_then(|(reduction, c)| {
-                checker.check(&reduction, c.rows)?;
+                checker.check(Signature::of(&reduction, c.rows), &rel)?;
                 composed.push(c);
                 Ok(())
             }));
@@ -267,9 +307,9 @@ fn run(cfg: &Config, report: &mut Report, w: &Workload) -> Result<(), String> {
     layers.set("csv.rows", ingest.rows_kept as f64);
     layers.set("csv.rows_skipped", ingest.rows_skipped as f64);
     layers.set("ita.tuples_in", rel.len() as f64);
-    layers.set("ita.tuples_out", checker.seq.len() as f64);
-    layers.set("ita.groups", checker.seq.group_keys().len() as f64);
-    layers.set("ita.cmin", checker.seq.cmin() as f64);
+    layers.set("ita.tuples_out", checker.tuples_out as f64);
+    layers.set("ita.groups", checker.groups as f64);
+    layers.set("ita.cmin", checker.cmin as f64);
     layers.set("pool.threads", cfg.threads as f64);
     let fastest = composed
         .iter()

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Steadiness report for the repository benchmark.
 
-Runs one workload N times with N different seeds, through the command in
-BENCHMARK.json, and prints for every end-to-end metric its median, first
-and third quartiles (Python's statistics.quantiles(n=4)), the spread
-(Q3 - Q1) / median, and each run's value with its sample count. A metric
-whose spread exceeds its bound in BENCHMARK.json is marked. With
---sets 2 the N runs are made twice and the second median is compared
-with the first: a metric worse by more than its bound is marked too.
+Runs one workload N times, with seeds 1..N, through the command and
+for the run_seconds in BENCHMARK.json, and prints for every end-to-end
+metric its median, first and third quartiles (Python's
+statistics.quantiles(n=4)), the spread (Q3 - Q1) / median, and each
+run's value with its sample count. A metric whose spread exceeds its
+bound in BENCHMARK.json is marked. With --sets 2 the workload runs N
+more times, with seeds N+1..2N, and the second median is compared with
+the first: a metric worse by more than its bound is marked too.
 
     python3 perfbench/steady.py --workload grouped_exact --runs 10
 
@@ -42,7 +43,7 @@ def one_set(bench, args, first_seed):
     runs = []
     for i in range(args.runs):
         seed = first_seed + i
-        result, samples = run_once(bench["command"], args.workload, seed, args.seconds)
+        result, samples = run_once(bench["command"], args.workload, seed, bench["run_seconds"])
         runs.append((seed, result, samples))
         values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
         print(f"  seed {seed}: correct={result['correct']} "
@@ -59,9 +60,8 @@ def summarize(bench, runs, label):
         q1, med, q3 = statistics.quantiles(values, n=4)
         spread = (q3 - q1) / med
         counts = ",".join(str(r[2].get(name, "?")) for r in runs)
-        # setup_s is exempt from the spread rule; it gets the largest bound.
         flag = ""
-        if spread > bound and name != "setup_s":
+        if spread > bound:
             flag = "  <-- spread exceeds bound"
             marked.append(name)
         elif spread > bound / 3:
@@ -76,14 +76,10 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--sets", type=int, default=1, choices=[1, 2])
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first run")
-    parser.add_argument("--seconds", type=int, help="defaults to run_seconds")
     parser.add_argument("--bench", default="BENCHMARK.json")
     args = parser.parse_args()
     with open(args.bench) as f:
         bench = json.load(f)
-    if args.seconds is None:
-        args.seconds = bench["run_seconds"]
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         raise SystemExit(f"unknown workload {args.workload}")
     if args.runs < 2:
@@ -91,8 +87,9 @@ def main():
 
     sets = []
     for s in range(args.sets):
-        print(f"set {s + 1}: {args.workload}, {args.runs} runs of {args.seconds} s", flush=True)
-        sets.append(one_set(bench, args, args.seed + s * args.runs))
+        print(f"set {s + 1}: {args.workload}, {args.runs} runs of {bench['run_seconds']} s",
+              flush=True)
+        sets.append(one_set(bench, args, 1 + s * args.runs))
     bad = [r for runs in sets for r in runs if not r[1]["correct"] or r[1]["failed"]]
     marked = []
     for s, runs in enumerate(sets):
