@@ -83,12 +83,12 @@ pub const INCUMBENTS_SCHEMA: &str = "Dept:str,Proj:str,Salary:int";
 ///
 /// A group's structure follows from its index alone: whether it has a
 /// second period (three groups in ten), the periods' lengths (spread over
-/// `[months/6, months/4]`) and the gap between them. The seed draws the
-/// staff's start months, contract lengths and salaries. So every seed
-/// yields groups of nearly the same sizes, and the work a query does
-/// varies little from seed to seed. A base employee spans each period end
-/// to end, so periods have no holes and the number of maximal adjacent
-/// runs is known here without running ITA.
+/// `[months/6, months/4]`), the gap between them, and its staff's start
+/// months and contract lengths. The seed draws the salaries. So every
+/// seed yields the same time layout, the same ITA tuple count in every
+/// group, and the same DP work; seeds differ in the values. A base
+/// employee spans each period end to end, so periods have no holes and
+/// the number of maximal adjacent runs is known here without running ITA.
 pub fn incumbents(seed: u64, shape: &IncumbentsShape) -> Csv {
     let mut rng = Rng::new(seed);
     let mut text = String::from("Dept,Proj,Salary,t_start,t_end\n");
@@ -105,16 +105,17 @@ pub fn incumbents(seed: u64, shape: &IncumbentsShape) -> Csv {
         if periods == 2 {
             large.push(g);
         }
+        let mut layout = Rng::new(0x6c61_796f_7574 ^ g as u64);
         let mut start = (k * 13) % (m / 12);
         for p in 0..periods {
             let end = start + short + (k * 37 + p * 17) % spread;
             runs += 1;
             for e in 0..shape.staff {
                 let mut month =
-                    if e == 0 { start } else { start + rng.range(0, (end - start) / 3) };
+                    if e == 0 { start } else { start + layout.range(0, (end - start) / 3) };
                 let mut salary = rng.range(2_000, 9_000);
                 while month <= end {
-                    let dur = rng.range(3, 24).min(end - month + 1);
+                    let dur = layout.range(3, 24).min(end - month + 1);
                     let _ = writeln!(text, "{dept},{proj},{salary},{month},{}", month + dur - 1);
                     rows += 1;
                     month += dur;
@@ -198,67 +199,84 @@ pub struct ScriptShape {
     pub curve_depth: usize,
 }
 
-/// Zipf sampler over `n` ranks.
-struct Zipf(Vec<f64>);
-
-impl Zipf {
-    fn new(n: usize, s: f64) -> Self {
-        let mut total = 0.0;
-        Zipf(
-            (1..=n)
-                .map(|rank| {
-                    total += 1.0 / (rank as f64).powf(s);
-                    total
-                })
-                .collect(),
-        )
+/// Splits `total` requests over `n` ranks in proportion to the Zipf
+/// weights `1 / rank^s`, by largest remainder: every rank gets its exact
+/// share, rounded, and the shares add up to `total`. Returns the rank of
+/// each request, in rank order.
+fn zipf_quota(n: usize, s: f64, total: usize) -> Vec<usize> {
+    let weights: Vec<f64> = (1..=n).map(|rank| 1.0 / (rank as f64).powf(s)).collect();
+    let sum: f64 = weights.iter().sum();
+    let exact: Vec<f64> = weights.iter().map(|w| w / sum * total as f64).collect();
+    let mut quota: Vec<usize> = exact.iter().map(|e| e.floor() as usize).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| (exact[b] - exact[b].floor()).total_cmp(&(exact[a] - exact[a].floor())));
+    let short = total - quota.iter().sum::<usize>();
+    for &rank in order.iter().take(short) {
+        quota[rank] += 1;
     }
+    quota.iter().enumerate().flat_map(|(rank, &q)| std::iter::repeat_n(rank, q)).collect()
+}
 
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let u = rng.unit() * self.0.last().copied().unwrap_or(0.0);
-        self.0.partition_point(|&c| c < u).min(self.0.len().saturating_sub(1))
+fn shuffle<T>(v: &mut [T], rng: &mut Rng) {
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.below(i as u64 + 1) as usize);
     }
 }
 
 /// Builds the request script. Each hundred requests holds a fixed mix,
 /// in seeded order: `past_depth` past-depth `c=`, then of the rest about
-/// 56% `c=` within the curve depth, 20% `eps=` and 20% `ratio=`. Groups
-/// are Zipf-skewed; group `i` has popularity rank `i`, so the hot groups
-/// are the same under every seed. Every bound is feasible: sizes start at
-/// 2, and every group has at most two maximal runs.
+/// 56% `c=` within the curve depth, 20% `eps=` and 20% `ratio=`. Group
+/// popularity is Zipf-skewed, and group `i` has popularity rank `i`.
+///
+/// The script's costly requests are the same under every seed, so that
+/// seeds differ in the order of the work and not in its amount: each
+/// group receives its exact Zipf share of the requests (past-depth
+/// requests over the two-period groups, the others over all groups), and
+/// the past-depth sizes run through `depth + 1 ..= depth + 16` in turn.
+/// The seed shuffles these requests and draws the bounds within the
+/// depth, which a cached curve answers. Every bound is feasible: sizes
+/// start at 2, and every group has at most two maximal runs.
 pub fn script(seed: u64, csv: &Csv, shape: &ScriptShape) -> Vec<String> {
     let mut rng = Rng::new(seed ^ 0x7265_7175_6573_7473);
-    let all = Zipf::new(csv.groups.len(), shape.zipf_s);
-    let large = Zipf::new(csv.large.len(), shape.zipf_s);
     let depth = shape.curve_depth as u64;
     let rest = 100 - shape.past_depth;
-    let mut kinds: Vec<u8> = Vec::with_capacity(100);
-    kinds.extend(std::iter::repeat_n(0, shape.past_depth));
-    kinds.extend(std::iter::repeat_n(1, rest - 2 * (rest / 5)));
-    kinds.extend(std::iter::repeat_n(2, rest / 5));
-    kinds.extend(std::iter::repeat_n(3, rest / 5));
+    let mut hundred: Vec<u8> = Vec::with_capacity(100);
+    hundred.extend(std::iter::repeat_n(0, shape.past_depth));
+    hundred.extend(std::iter::repeat_n(1, rest - 2 * (rest / 5)));
+    hundred.extend(std::iter::repeat_n(2, rest / 5));
+    hundred.extend(std::iter::repeat_n(3, rest / 5));
+    let mut kinds = Vec::with_capacity(shape.requests);
+    while kinds.len() < shape.requests {
+        shuffle(&mut hundred, &mut rng);
+        kinds.extend(hundred.iter().take(shape.requests - kinds.len()));
+    }
+    let past = kinds.iter().filter(|&&k| k == 0).count();
+    let mut heavy: Vec<(usize, u64)> = zipf_quota(csv.large.len(), shape.zipf_s, past)
+        .into_iter()
+        .enumerate()
+        .map(|(i, rank)| (csv.large[rank], depth + 1 + i as u64 % 16))
+        .collect();
+    let mut light = zipf_quota(csv.groups.len(), shape.zipf_s, kinds.len() - past);
+    shuffle(&mut heavy, &mut rng);
+    shuffle(&mut light, &mut rng);
+    let (mut heavy, mut light) = (heavy.into_iter(), light.into_iter());
     let mut out = Vec::with_capacity(shape.requests);
-    while out.len() < shape.requests {
-        for i in (1..kinds.len()).rev() {
-            kinds.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        for &kind in kinds.iter().take(shape.requests - out.len()) {
-            let (group, bound) = match kind {
-                0 => {
-                    (csv.large[large.sample(&mut rng)], format!("c={}", depth + 1 + rng.below(16)))
-                }
-                1 => (all.sample(&mut rng), format!("c={}", 2 + rng.below(depth - 1))),
-                2 => {
-                    const EPS: [&str; 5] = ["0.5", "0.2", "0.1", "0.05", "0.02"];
-                    (all.sample(&mut rng), format!("eps={}", EPS[rng.below(5) as usize]))
-                }
-                _ => {
-                    const RATIO: [&str; 5] = ["0.05", "0.1", "0.2", "0.3", "0.4"];
-                    (all.sample(&mut rng), format!("ratio={}", RATIO[rng.below(5) as usize]))
-                }
+    for kind in kinds {
+        let (group, bound) = if kind == 0 {
+            let Some((group, c)) = heavy.next() else { break };
+            (group, format!("c={c}"))
+        } else {
+            let Some(group) = light.next() else { break };
+            const EPS: [&str; 5] = ["0.5", "0.2", "0.1", "0.05", "0.02"];
+            const RATIO: [&str; 5] = ["0.05", "0.1", "0.2", "0.3", "0.4"];
+            let bound = match kind {
+                1 => format!("c={}", 2 + rng.below(depth - 1)),
+                2 => format!("eps={}", EPS[rng.below(5) as usize]),
+                _ => format!("ratio={}", RATIO[rng.below(5) as usize]),
             };
-            out.push(format!("reduce {} {bound}", csv.groups[group]));
-        }
+            (group, bound)
+        };
+        out.push(format!("reduce {} {bound}", csv.groups[group]));
     }
     out
 }
@@ -275,5 +293,45 @@ mod tests {
         assert_eq!(digest(a.text.as_bytes()), digest(b.text.as_bytes()));
         assert_ne!(digest(a.text.as_bytes()), digest(incumbents(8, &shape).text.as_bytes()));
         assert_eq!(a.text.lines().count(), a.rows + 1);
+    }
+
+    #[test]
+    fn zipf_quota_is_exact_and_skewed() {
+        let q = zipf_quota(10, 1.0, 1000);
+        assert_eq!(q.len(), 1000);
+        let count = |r: usize| q.iter().filter(|&&x| x == r).count();
+        // 1000 / H_10 = 341.4 for rank 1, a tenth of that for rank 10.
+        assert_eq!((count(0), count(9)), (341, 34));
+        assert!(q.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn seeds_reorder_the_costly_requests_but_keep_them() {
+        let csv = incumbents(1, &IncumbentsShape { groups: 20, staff: 3, months: 300 });
+        let shape = ScriptShape { requests: 400, zipf_s: 1.0, past_depth: 4, curve_depth: 8 };
+        let heavy = |seed| {
+            let script = script(seed, &csv, &shape);
+            assert_eq!(script.len(), 400);
+            let mut past: Vec<String> = script
+                .iter()
+                .filter(|l| {
+                    l.rsplit_once("c=").is_some_and(|(_, c)| c.parse::<u64>().is_ok_and(|c| c > 8))
+                })
+                .cloned()
+                .collect();
+            past.sort();
+            (script, past)
+        };
+        let ((a, past_a), (b, past_b)) = (heavy(1), heavy(2));
+        assert_ne!(a, b);
+        assert_eq!(past_a.len(), 16);
+        assert_eq!(past_a, past_b);
+        let groups = |s: &[String]| {
+            let mut g: Vec<String> =
+                s.iter().filter_map(|l| l.split(' ').nth(1)).map(str::to_string).collect();
+            g.sort_unstable();
+            g
+        };
+        assert_eq!(groups(&a), groups(&b));
     }
 }

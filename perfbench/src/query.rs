@@ -24,7 +24,7 @@ use crate::stats::{self, Timing};
 use crate::trace::{SpanId, Tracer};
 use crate::Config;
 
-/// 100 `(Dept, Proj)` groups, 30 with a second period: ~17.5k rows,
+/// 100 `(Dept, Proj)` groups, 30 with a second period: 17,689 rows,
 /// ITA n ≈ 10.9k, cmin = 130.
 const GROUPED: gen::IncumbentsShape = gen::IncumbentsShape { groups: 100, staff: 16, months: 600 };
 

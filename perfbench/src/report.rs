@@ -36,18 +36,34 @@ impl Report {
     }
 
     /// A timing of repeated identical operations: the metric is their
-    /// median; the fastest and the first (cold) sample are printed beside
-    /// it as diagnostics.
+    /// median; the trimmed mean, the fastest and the first (cold) sample
+    /// are printed beside it as diagnostics.
     pub fn timing(&mut self, name: &str, t: &Timing, unit: &'static str, scale: f64) {
+        self.timing_note(name, t, unit, scale, "median");
+        self.metric(name, t.median * scale, unit);
+        self.samples(name, t.samples);
+    }
+
+    /// Like [`Report::timing`], but the metric is the trimmed mean, for
+    /// samples that fall into two clusters whose mix drifts between runs:
+    /// the trimmed mean follows the mix, where the median jumps from one
+    /// cluster to the other.
+    pub fn timing_trimmed(&mut self, name: &str, t: &Timing, unit: &'static str, scale: f64) {
+        self.timing_note(name, t, unit, scale, "trimmed mean");
+        self.metric(name, t.trimmed * scale, unit);
+        self.samples(name, t.samples);
+    }
+
+    fn timing_note(&mut self, name: &str, t: &Timing, unit: &str, scale: f64, metric: &str) {
         self.note(format!(
-            "timing {name}: median {} min {} first {} {unit} over {} samples",
+            "timing {name} (metric: {metric}): median {} trimmed mean {} min {} first {} {unit} \
+             over {} samples",
             t.median * scale,
+            t.trimmed * scale,
             t.min * scale,
             t.first * scale,
             t.samples
         ));
-        self.metric(name, t.median * scale, unit);
-        self.samples(name, t.samples);
     }
 
     /// Records how many samples a metric rests on.

@@ -4,11 +4,17 @@ use std::ops::Range;
 
 use pta_temporal::SequentialRelation;
 
+/// Share of samples dropped from each end by [`Timing::trimmed`].
+const TRIM: f64 = 0.1;
+
 /// Summary of repeated timings of one identical operation.
 #[derive(Debug, Clone, Copy)]
 pub struct Timing {
     pub min: f64,
     pub median: f64,
+    /// The mean of the samples left after dropping the lowest and the
+    /// highest tenth of them.
+    pub trimmed: f64,
     pub first: f64,
     pub samples: usize,
 }
@@ -17,9 +23,12 @@ impl Timing {
     pub fn of(samples: &[f64]) -> Timing {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
+        let cut = (sorted.len() as f64 * TRIM) as usize;
+        let kept = &sorted[cut..sorted.len() - cut];
         Timing {
             min: sorted.first().copied().unwrap_or(f64::NAN),
             median: percentile(&sorted, 0.5),
+            trimmed: kept.iter().sum::<f64>() / kept.len() as f64,
             first: samples.first().copied().unwrap_or(f64::NAN),
             samples: samples.len(),
         }
@@ -180,6 +189,24 @@ mod tests {
         let t = Timing::of(&[3.0, 1.0, 2.0, 4.0]);
         assert_eq!((t.min, t.first, t.samples), (1.0, 3.0, 4));
         assert!((t.median - 2.5).abs() < 1e-12);
+        assert!((t.trimmed - 2.5).abs() < 1e-12);
         assert!((quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.99) - 4.96).abs() < 1e-12);
+    }
+
+    #[test]
+    fn trimmed_mean_drops_a_tenth_from_each_end() {
+        // Two passes out of twenty are outliers, one at each end.
+        let mut v: Vec<f64> = (1..=18).map(f64::from).collect();
+        v.extend([-1e6, 1e6]);
+        let t = Timing::of(&v);
+        assert!((t.trimmed - 9.5).abs() < 1e-12, "{}", t.trimmed);
+        // A two-valued sample moves the trimmed mean in proportion to the
+        // mix, where the median jumps from one value to the other.
+        let mix = |low: usize| {
+            let v: Vec<f64> = (0..20).map(|i| if i < low { 13.0 } else { 20.0 }).collect();
+            Timing::of(&v)
+        };
+        assert_eq!((mix(9).median, mix(11).median), (20.0, 13.0));
+        assert!(mix(9).trimmed - mix(11).trimmed < 1.0);
     }
 }
