@@ -10,8 +10,7 @@ use std::time::Duration;
 
 use pta_core::{
     pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_no_early_break,
-    pta_size_bounded_with_opts, pta_size_bounded_with_policy, DpOptions, DpStrategy, GapPolicy,
-    Weights,
+    pta_size_bounded_with_opts, DpOptions, DpStrategy, GapPolicy, Weights,
 };
 use pta_datasets::{timeseries, uniform};
 
@@ -64,11 +63,11 @@ fn bench_gap_policy(c: &mut Criterion) {
     g.bench_function("strict", |b| b.iter(|| pta_size_bounded(black_box(&rel), &w, cc).unwrap()));
     g.bench_function("tolerate_2", |b| {
         b.iter(|| {
-            pta_size_bounded_with_policy(
+            pta_size_bounded_with_opts(
                 black_box(&rel),
                 &w,
                 cc,
-                GapPolicy::Tolerate { max_gap: 2 },
+                DpOptions::default().with_policy(GapPolicy::Tolerate { max_gap: 2 }),
             )
             .unwrap()
         })

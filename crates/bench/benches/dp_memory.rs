@@ -10,12 +10,16 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use pta_core::{
-    pta_error_bounded_with_mode, pta_error_bounded_with_opts, pta_size_bounded_with_mode, DpMode,
-    DpOptions, DpStrategy, Weights,
+    pta_error_bounded_with_opts, pta_size_bounded_with_opts, DpMode, DpOptions, DpStrategy, Weights,
 };
 use pta_datasets::uniform;
 
 const MODES: [(&str, DpMode); 2] = [("table", DpMode::Table), ("dnc", DpMode::DivideConquer)];
+
+/// Default options with a pinned backtracking mode.
+fn with_mode(mode: DpMode) -> DpOptions {
+    DpOptions::default().with_mode(mode)
+}
 
 fn bench_size_bounded_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("dp_memory_size_bounded");
@@ -27,11 +31,16 @@ fn bench_size_bounded_modes(c: &mut Criterion) {
         let cc = (n / 10).max(20);
         for (name, mode) in MODES {
             g.bench_with_input(BenchmarkId::new(format!("flat_{name}"), n), &n, |b, _| {
-                b.iter(|| pta_size_bounded_with_mode(black_box(&flat), &w, cc, mode).unwrap())
+                b.iter(|| {
+                    pta_size_bounded_with_opts(black_box(&flat), &w, cc, with_mode(mode)).unwrap()
+                })
             });
             let cg = cc.max(grouped.cmin()).min(grouped.len());
             g.bench_with_input(BenchmarkId::new(format!("grouped_{name}"), n), &n, |b, _| {
-                b.iter(|| pta_size_bounded_with_mode(black_box(&grouped), &w, cg, mode).unwrap())
+                b.iter(|| {
+                    pta_size_bounded_with_opts(black_box(&grouped), &w, cg, with_mode(mode))
+                        .unwrap()
+                })
             });
         }
     }
@@ -50,7 +59,8 @@ fn bench_error_bounded_modes(c: &mut Criterion) {
                 &eps,
                 |b, &eps| {
                     b.iter(|| {
-                        pta_error_bounded_with_mode(black_box(&grouped), &w, eps, mode).unwrap()
+                        pta_error_bounded_with_opts(black_box(&grouped), &w, eps, with_mode(mode))
+                            .unwrap()
                     })
                 },
             );
@@ -59,10 +69,11 @@ fn bench_error_bounded_modes(c: &mut Criterion) {
     g.finish();
 }
 
-/// The `Approx(ε)` probe loop in `error_bounded_approx` runs up to three
-/// refinement probes (δ = ε/2, ε/8, 0) over the same row loop. The
-/// split-point table and the four bracket rows are allocated *once* and
-/// ∞-reset per probe (see `dp/approx.rs`); this bench pins that hoist —
+/// The `Approx(ε)` probe loop of the error-bounded driver runs up to
+/// three stride probes (the first grid stride, its 4× refinement, and
+/// stride 1) over the same row loop. The split-point table and the four
+/// bracket rows are allocated *once* and ∞-reset between probes (see
+/// `dp/error_bounded.rs`); this bench pins that hoist —
 /// re-allocating per probe shows up here as a measurable regression on
 /// the tight-ε configurations, while results stay bit-identical (each
 /// probe starts from the same ∞-reset state a fresh allocation would

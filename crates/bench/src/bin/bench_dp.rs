@@ -324,7 +324,6 @@ fn main() {
                     strategy: DpStrategy::Scan,
                     threads: 1,
                     cancel,
-                    ..DpOptions::default()
                 },
             )
             .expect("valid size bound")

@@ -1,18 +1,25 @@
-//! The certified `(1 + ε)`-approximate DP tier ([`DpStrategy::Approx`]).
+//! The certified `(1 + ε)`-approximate tier
+//! ([`DpStrategy::Approx`](super::DpStrategy::Approx)):
+//! its stride schedule and its a posteriori certificate.
 //!
-//! PR 5's load-bearing negative result: segment SSE violates the
-//! quadrangle inequality on unsorted data, so flat/uniform inputs fail
-//! the Monge certificate and the exact scan stays `O(c · n²)`. This
-//! module breaks that wall with stride-grid candidate sparsification:
-//! each open window solves only the cells on a uniform grid of stride
-//! `b` (plus the window edges), and each solved cell scans only the
-//! grid-aligned split candidates (plus the window's `jbound`). A row
-//! fill therefore costs `O((window / b)²)` instead of `O(window²)` —
-//! a `b²`-fold reduction with `b ≈ ε · n / c` chosen so the lost
-//! resolution stays inside the ε budget.
+//! Segment SSE violates the quadrangle inequality on unsorted data, so
+//! flat and uniform inputs fail the Monge certificate and the exact scan
+//! stays `O(c · n²)`. `Approx(ε)` sparsifies the candidates instead. The
+//! row fills of [`super::DpEngine`] take a grid stride `b`: each open
+//! window solves only the cells on a uniform grid of stride `b` (plus
+//! the window edges), and each solved cell scans only the grid-aligned
+//! split candidates (plus the window's `jbound`). A row fill therefore
+//! costs `O((window / b)²)` instead of `O(window²)` — a `b²`-fold
+//! reduction with `b ≈ ε · n / c` chosen so the lost resolution stays
+//! inside the ε budget. Gap bounds, forced splits, cancellation polls,
+//! and the [`pta_pool::Pool`] fan-out are the exact fill's; the grid is a
+//! pure function of the cell index and its window's edges, so chunked
+//! windows solve the same cells with the same candidates and every
+//! thread budget produces bit-identical rows.
 //!
-//! The bound is *certified a posteriori*, not assumed: every row fill
-//! maintains a bracket of two value rows,
+//! The bound is *certified a posteriori*, not assumed: every Approx
+//! fill carries a second row, the lower bracket `lb`, beside the value
+//! row `ub`:
 //!
 //! * `ub[k][i]` — the value of a **real** `k`-piece partition of the
 //!   prefix `0..i` (split points restricted to the grid), so `ub ≥ E`
@@ -25,68 +32,30 @@
 //!   shrinks as the prefix grows) while `SSE(j_b + b − 1..i) ≤
 //!   SSE(β..i)` (a segment's SSE about its own mean never exceeds a
 //!   superset's), hence `lb[k][i] ≤ E[k][i]` — the grid affects speed
-//!   and `ub` quality, never `lb` soundness.
+//!   and `ub` quality, never `lb` soundness. The scan's early break
+//!   stops only once the lower segment SSE alone exceeds *both* running
+//!   minima, which keeps both brackets sound.
 //!
 //! A probe at stride `b` is accepted only when the delivered SSE is
 //! within `(1 + ε)` of the lower bound; the drivers refine `b` through
 //! [`probe_strides`] and fall back to `b = 1`, which evaluates every
-//! cell and every candidate — bit-identical to the exact scan, hence
+//! cell and every candidate — the exact scan, update for update, hence
 //! accepted unconditionally — so the certificate
 //! `certified_ratio ≤ 1 + ε` holds on every completed run,
-//! deterministically. The sparsified rows reuse the exact engine's
-//! inter-break window collector, so gap bounds, forced splits,
-//! cancellation polls, and the [`pta_pool::Pool`] fan-out all come
-//! along for free; the grid is a pure function of the cell index, so
-//! chunked windows solve the same cells with the same candidates and
-//! every thread budget produces bit-identical rows.
-
-use pta_failpoints::fail_point;
-use pta_temporal::SequentialRelation;
-
-use super::{
-    monotone_run_ends, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, DpStats, DpStrategy,
-    RowWindow, WindowTask, CANCEL_CHECK_MIN_WORK, MONGE_AUTO_MIN_WINDOW, PAR_CHUNKS_PER_WORKER,
-    PAR_MIN_CHUNK_CELLS, PAR_MIN_ROW_WORK,
-};
-use crate::error::CoreError;
-use crate::reduction::Reduction;
-use crate::weights::Weights;
+//! deterministically. The exact strategies (and `Approx(0)`) run the
+//! same fills at stride 1 without the `lb` rows.
 
 /// The ε a bare `approx` strategy name resolves to: a 10 % SSE slack —
-/// large enough that the first `δ = ε/2` probe certifies on realistic
+/// large enough that the first stride probe certifies on realistic
 /// data, small enough that downstream error budgets barely move.
 pub const DEFAULT_APPROX_EPS: f64 = 0.1;
-
-/// Resolves the strategy a DP run will actually execute:
-/// [`DpStrategy::Auto`] with [`DpOptions::auto_eps`] opts into
-/// [`DpStrategy::Approx`] exactly when the approximation can win — the
-/// caller set a positive ε, pruning is on (the naive baseline measures
-/// the plain recurrence), and the monotone-run certificate cannot help
-/// (no run is [`MONGE_AUTO_MIN_WINDOW`] wide, so every window would
-/// scan quadratically). Everything else passes through unchanged —
-/// `Auto` stays exact unless the caller opted in.
-pub(crate) fn resolve(input: &SequentialRelation, opts: &DpOptions, prune: bool) -> DpStrategy {
-    match (opts.strategy, opts.auto_eps) {
-        (DpStrategy::Auto, Some(eps)) if prune && eps > 0.0 && !monge_can_help(input) => {
-            DpStrategy::Approx(eps)
-        }
-        _ => opts.strategy,
-    }
-}
-
-/// Whether any maximal per-dimension-monotone run is wide enough for
-/// [`DpStrategy::Auto`] to run SMAWK on it — the same certificate the
-/// exact engine builds, evaluated up front.
-fn monge_can_help(input: &SequentialRelation) -> bool {
-    monotone_run_ends(input).iter().enumerate().any(|(t, &e)| e - t >= MONGE_AUTO_MIN_WINDOW)
-}
 
 /// The a posteriori certificate: `Some(ratio)` iff the delivered `sse`
 /// is provably within `(1 + eps)` of the exact optimum, given the
 /// certified lower bound `lb ≤ E`. A non-positive lower bound certifies
 /// only a zero-SSE result (the ratio is unbounded otherwise); ratios
 /// are clamped to `≥ 1` — `sse < lb` can only be rounding noise.
-fn certify(sse: f64, lb: f64, eps: f64) -> Option<f64> {
+pub(crate) fn certify(sse: f64, lb: f64, eps: f64) -> Option<f64> {
     if !sse.is_finite() || !lb.is_finite() {
         return None;
     }
@@ -105,7 +74,7 @@ fn certify(sse: f64, lb: f64, eps: f64) -> Option<f64> {
 /// and the exact fallback `b = 1`, which is bit-identical to the exact
 /// scan and accepted unconditionally (this also bounds the probe loop
 /// when `lb = 0` or ulp noise defeats the ratio test).
-fn probe_strides(eps: f64, n: usize, pieces: usize) -> Vec<usize> {
+pub(crate) fn probe_strides(eps: f64, n: usize, pieces: usize) -> Vec<usize> {
     let cap = (n / 8).max(1);
     let b0 = ((eps * n as f64) / (1.5 * pieces.max(1) as f64)) as usize;
     let b0 = b0.clamp(1, cap);
@@ -121,938 +90,11 @@ fn probe_strides(eps: f64, n: usize, pieces: usize) -> Vec<usize> {
     v
 }
 
-/// Estimated SSE evaluations of one window under stride-`b`
-/// sparsification — the fan-out / cancel-poll gate (same role as
-/// [`RowWindow::work`] on the exact path). Open windows solve
-/// `cells / b` grid cells (plus the two edges) against `span / b`
-/// candidates each, two evaluations per candidate when the brackets
-/// diverge (`b > 1`).
-fn approx_work(w: &RowWindow, fwd: bool, stride: usize) -> u64 {
-    let b = stride.max(1) as u64;
-    match w.task {
-        WindowTask::Forced { .. } => w.cells() as u64,
-        WindowTask::Open { jbound, .. } => {
-            let span = if fwd { (w.we - jbound) as u64 } else { (jbound - w.ws) as u64 };
-            let filled = w.cells() as u64 / b + 2;
-            let cand = span / b + 1;
-            let evals = if stride == 1 { 1 } else { 2 };
-            filled * cand * evals
-        }
-    }
-}
-
-/// One parallel sparsified-row job: a window chunk, its *original*
-/// window's `(ws, we)` (the grid fill-set membership must not depend on
-/// where a chunk boundary fell), and the chunk's disjoint output
-/// slices.
-type SparseJob<'a> =
-    (RowWindow, (usize, usize), &'a mut [f64], &'a mut [f64], Option<&'a mut [usize]>);
-
-/// The sparsified row filler: the exact engine plus one grid stride.
-/// All solves read the engine's prefix stats, gap vector, pool, and
-/// cancel token — the exact machinery with a sparser cell/candidate
-/// set. `stride == 1` degenerates to the exact scan, cell for cell.
-pub(crate) struct SparseDp<'a> {
-    eng: &'a DpEngine,
-    stride: usize,
-}
-
-impl<'a> SparseDp<'a> {
-    pub(crate) fn new(eng: &'a DpEngine, stride: usize) -> Self {
-        debug_assert!(stride >= 1);
-        Self { eng, stride }
-    }
-
-    /// Whether an open-window cell is on the fill grid: grid-aligned
-    /// positions plus the window's own edges. Edges matter because the
-    /// next row reads this row at window boundaries — its `jbound` is
-    /// either the row floor (= the first window's `ws`) or a gap break
-    /// (= some window's `we`) — so keeping them solved keeps every
-    /// future candidate finite wherever the exact DP is finite. A pure
-    /// function of the *original* window edges, never of chunk edges.
-    #[inline]
-    fn is_fill(&self, i: usize, orig: (usize, usize)) -> bool {
-        self.stride == 1 || i.is_multiple_of(self.stride) || i == orig.0 || i == orig.1
-    }
-
-    /// Sparsified counterpart of [`DpEngine::fill_row_fwd`] over the
-    /// bracket rows: fills `ub_cur`/`lb_cur` for row `k` of the prefix
-    /// DP on `lo..hi`, recording `ub`'s best split per cell in `jrow`.
-    /// Window decomposition, gap pruning, forced splits, the
-    /// cancellation protocol, and the fan-out gate are the exact row
-    /// fill's; only open windows solve on the sparse stride grid.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fill_row_fwd(
-        &self,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        ub_prev: &[f64],
-        lb_prev: &[f64],
-        ub_cur: &mut [f64],
-        lb_cur: &mut [f64],
-        mut jrow: Option<&mut [usize]>,
-    ) -> Result<Cells, CoreError> {
-        let eng = self.eng;
-        debug_assert!(k >= 1 && lo <= hi && hi <= eng.n);
-        fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
-        eng.cancel.check()?;
-        let imax = eng.gaps.imax_within(k, lo, hi);
-        if lo + k > imax {
-            return Ok(Cells::default());
-        }
-        ub_cur[lo + k..=imax].fill(f64::INFINITY);
-        lb_cur[lo + k..=imax].fill(f64::INFINITY);
-        let mut cells = Cells::default();
-        if k == 1 {
-            // First row: exact for both brackets — the whole (sub)prefix
-            // merges into one tuple, there is nothing to sparsify.
-            for i in (lo + 1)..=imax {
-                let c = eng.cost(lo, i);
-                ub_cur[i] = c;
-                lb_cur[i] = c;
-                if let Some(jr) = jrow.as_deref_mut() {
-                    jr[i] = lo;
-                }
-            }
-            cells.scan += (imax - lo) as u64;
-            return Ok(cells);
-        }
-        let windows = eng.collect_windows_fwd(k, lo, imax);
-        let work: u64 = windows.iter().map(|w| approx_work(w, true, self.stride)).sum();
-        if eng.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            return self.fill_windows_par(
-                true,
-                &windows,
-                work,
-                ub_prev,
-                lb_prev,
-                ub_cur,
-                lb_cur,
-                jrow,
-                lo + k,
-                imax,
-            );
-        }
-        for w in &windows {
-            if approx_work(w, true, self.stride) >= CANCEL_CHECK_MIN_WORK {
-                eng.cancel.check()?;
-            }
-            cells += self.solve_window_fwd(
-                w,
-                (w.ws, w.we),
-                ub_prev,
-                lb_prev,
-                ub_cur,
-                lb_cur,
-                jrow.as_deref_mut(),
-                0,
-            );
-        }
-        Ok(cells)
-    }
-
-    /// Sparsified counterpart of [`DpEngine::fill_row_bwd`] (suffix DP,
-    /// used by the divide-and-conquer backtracking). Backward rows never
-    /// record split points.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fill_row_bwd(
-        &self,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        ub_prev: &[f64],
-        lb_prev: &[f64],
-        ub_cur: &mut [f64],
-        lb_cur: &mut [f64],
-    ) -> Result<Cells, CoreError> {
-        let eng = self.eng;
-        debug_assert!(k >= 1 && lo <= hi && hi <= eng.n && hi - lo >= k);
-        fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
-        eng.cancel.check()?;
-        let imin = eng.gaps.imin_within(k, lo, hi);
-        if imin > hi - k {
-            return Ok(Cells::default());
-        }
-        ub_cur[imin..=(hi - k)].fill(f64::INFINITY);
-        lb_cur[imin..=(hi - k)].fill(f64::INFINITY);
-        let mut cells = Cells::default();
-        if k == 1 {
-            // Index loop mirrors the forward fill cell-for-cell.
-            #[allow(clippy::needless_range_loop)]
-            for i in imin..=(hi - 1) {
-                let c = eng.cost(i, hi);
-                ub_cur[i] = c;
-                lb_cur[i] = c;
-            }
-            cells.scan += (hi - imin) as u64;
-            return Ok(cells);
-        }
-        let windows = eng.collect_windows_bwd(k, hi, imin);
-        let work: u64 = windows.iter().map(|w| approx_work(w, false, self.stride)).sum();
-        if eng.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            return self.fill_windows_par(
-                false,
-                &windows,
-                work,
-                ub_prev,
-                lb_prev,
-                ub_cur,
-                lb_cur,
-                None,
-                imin,
-                hi - k,
-            );
-        }
-        for w in &windows {
-            if approx_work(w, false, self.stride) >= CANCEL_CHECK_MIN_WORK {
-                eng.cancel.check()?;
-            }
-            cells += self.solve_window_bwd(w, (w.ws, w.we), ub_prev, lb_prev, ub_cur, lb_cur, 0);
-        }
-        Ok(cells)
-    }
-
-    /// Solves one forward window (or chunk) over the stride grid: grid
-    /// cell `i` lands at `ub_out[i − at]` / `lb_out[i − at]`, off-grid
-    /// cells keep the row's ∞ pre-fill. Candidates are visited in
-    /// decreasing split order — grid-aligned positions below `i`, then
-    /// `jbound` last — mirroring the exact scan (at stride 1 the loop
-    /// *is* the exact scan, update for update). The upper bracket adds
-    /// `SSE(j..i)`, the lower bracket `SSE(j + b − 1..i)` (the ≤ `b − 1`
-    /// points a true boundary could sit past `j` are forgiven, which is
-    /// what makes `lb` sound); the Jagadish early break fires once the
-    /// lower segment SSE alone exceeds *both* running minima — sound
-    /// because both segment SSEs grow as the split moves left and
-    /// `SSE(j..i) ≥ SSE(j + b − 1..i)`.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_window_fwd(
-        &self,
-        w: &RowWindow,
-        orig: (usize, usize),
-        ub_prev: &[f64],
-        lb_prev: &[f64],
-        ub_out: &mut [f64],
-        lb_out: &mut [f64],
-        mut jout: Option<&mut [usize]>,
-        at: usize,
-    ) -> Cells {
-        let eng = self.eng;
-        let stride = self.stride;
-        let mut cells = Cells::default();
-        match w.task {
-            WindowTask::Forced { g, feasible } => {
-                cells.scan += w.cells() as u64;
-                if feasible {
-                    for i in w.ws..=w.we {
-                        let err2 = eng.stats.range_sse(&eng.weights, g..i);
-                        ub_out[i - at] = ub_prev[g] + err2;
-                        lb_out[i - at] = lb_prev[g] + err2;
-                        if let Some(jr) = jout.as_deref_mut() {
-                            jr[i - at] = g;
-                        }
-                    }
-                }
-            }
-            WindowTask::Open { jbound: jmin, .. } => {
-                for i in w.ws..=w.we {
-                    if !self.is_fill(i, orig) {
-                        continue;
-                    }
-                    let mut ub_best = f64::INFINITY;
-                    let mut lb_best = f64::INFINITY;
-                    let mut best_j = jmin;
-                    let mut j =
-                        if stride == 1 { i - 1 } else { ((i - 1) / stride * stride).max(jmin) };
-                    loop {
-                        cells.scan += 1;
-                        let sse_u = eng.stats.range_sse(&eng.weights, j..i);
-                        let sse_l = if stride == 1 {
-                            sse_u
-                        } else {
-                            // A snapped true boundary β satisfies
-                            // j ≤ β ≤ j + b − 1 (strictly left of the
-                            // next candidate), so forgiving b − 1
-                            // points is enough for soundness.
-                            cells.scan += 1;
-                            eng.stats.range_sse(&eng.weights, (j + stride - 1).min(i)..i)
-                        };
-                        let ub_total = ub_prev[j] + sse_u;
-                        if ub_total < ub_best {
-                            ub_best = ub_total;
-                            best_j = j;
-                        }
-                        let lb_total = lb_prev[j] + sse_l;
-                        if lb_total < lb_best {
-                            lb_best = lb_total;
-                        }
-                        if eng.early_break && sse_l > ub_best && sse_l > lb_best {
-                            break;
-                        }
-                        if j == jmin {
-                            break;
-                        }
-                        j = if j >= jmin + stride { j - stride } else { jmin };
-                    }
-                    ub_out[i - at] = ub_best;
-                    lb_out[i - at] = lb_best;
-                    if let Some(jr) = jout.as_deref_mut() {
-                        jr[i - at] = best_j;
-                    }
-                }
-            }
-        }
-        cells
-    }
-
-    /// Backward counterpart of [`SparseDp::solve_window_fwd`]:
-    /// candidates are visited in increasing split order — grid-aligned
-    /// positions above `i`, then `jbound` (`jmax`) last — mirroring the
-    /// exact suffix scan. The lower bracket forgives the ≤ `b − 1`
-    /// points a true boundary could sit *before* the snapped candidate:
-    /// `SSE(i..j − b + 1)` with the left end clamped to `i`.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_window_bwd(
-        &self,
-        w: &RowWindow,
-        orig: (usize, usize),
-        ub_prev: &[f64],
-        lb_prev: &[f64],
-        ub_out: &mut [f64],
-        lb_out: &mut [f64],
-        at: usize,
-    ) -> Cells {
-        let eng = self.eng;
-        let stride = self.stride;
-        let mut cells = Cells::default();
-        match w.task {
-            WindowTask::Forced { g, feasible } => {
-                cells.scan += w.cells() as u64;
-                if feasible {
-                    for i in w.ws..=w.we {
-                        let err2 = eng.stats.range_sse(&eng.weights, i..g);
-                        ub_out[i - at] = err2 + ub_prev[g];
-                        lb_out[i - at] = err2 + lb_prev[g];
-                    }
-                }
-            }
-            WindowTask::Open { jbound: jmax, .. } => {
-                for i in w.ws..=w.we {
-                    if !self.is_fill(i, orig) {
-                        continue;
-                    }
-                    let mut ub_best = f64::INFINITY;
-                    let mut lb_best = f64::INFINITY;
-                    let mut j =
-                        if stride == 1 { i + 1 } else { ((i / stride + 1) * stride).min(jmax) };
-                    loop {
-                        cells.scan += 1;
-                        let sse_u = eng.stats.range_sse(&eng.weights, i..j);
-                        let sse_l = if stride == 1 {
-                            sse_u
-                        } else {
-                            // Mirrored snap: β ≥ j − (b − 1).
-                            cells.scan += 1;
-                            eng.stats
-                                .range_sse(&eng.weights, i..(j + 1).saturating_sub(stride).max(i))
-                        };
-                        let ub_total = sse_u + ub_prev[j];
-                        if ub_total < ub_best {
-                            ub_best = ub_total;
-                        }
-                        let lb_total = sse_l + lb_prev[j];
-                        if lb_total < lb_best {
-                            lb_best = lb_total;
-                        }
-                        if eng.early_break && sse_l > ub_best && sse_l > lb_best {
-                            break;
-                        }
-                        if j == jmax {
-                            break;
-                        }
-                        j = if j + stride <= jmax { j + stride } else { jmax };
-                    }
-                    ub_out[i - at] = ub_best;
-                    lb_out[i - at] = lb_best;
-                }
-            }
-        }
-        cells
-    }
-
-    /// Fans one sparsified row out across the pool: forced windows stay
-    /// whole, open windows split into equal-cell chunks sized by the
-    /// stride-adjusted work estimate, every chunk carries its original
-    /// window's edges (so grid fill-set membership is chunk-invariant),
-    /// and the bracket rows (plus `jrow`) are tiled into disjoint
-    /// per-chunk slices in window order. Per-cell state is local, so
-    /// results are bit-identical to the sequential fill and the
-    /// counters are summed in window order. Each chunk polls the cancel
-    /// token; the first error in window order wins.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_windows_par(
-        &self,
-        fwd: bool,
-        windows: &[RowWindow],
-        work: u64,
-        ub_prev: &[f64],
-        lb_prev: &[f64],
-        ub_cur: &mut [f64],
-        lb_cur: &mut [f64],
-        jrow: Option<&mut [usize]>,
-        first: usize,
-        last: usize,
-    ) -> Result<Cells, CoreError> {
-        let eng = self.eng;
-        let target = (work / (eng.pool.threads() as u64 * PAR_CHUNKS_PER_WORKER)).max(1);
-        let mut chunks: Vec<(RowWindow, (usize, usize))> = Vec::new();
-        for w in windows {
-            let orig = (w.ws, w.we);
-            let per_cell = match w.task {
-                WindowTask::Forced { .. } => {
-                    chunks.push((*w, orig));
-                    continue;
-                }
-                WindowTask::Open { .. } => {
-                    (approx_work(w, fwd, self.stride) / w.cells() as u64).max(1)
-                }
-            };
-            let cells_per = ((target / per_cell).max(PAR_MIN_CHUNK_CELLS as u64)) as usize;
-            if w.cells() < 2 * PAR_MIN_CHUNK_CELLS || w.cells() <= cells_per {
-                chunks.push((*w, orig));
-                continue;
-            }
-            let mut cs = w.ws;
-            while cs <= w.we {
-                let mut ce = (cs + cells_per - 1).min(w.we);
-                if w.we - ce < PAR_MIN_CHUNK_CELLS {
-                    ce = w.we;
-                }
-                chunks.push((RowWindow { ws: cs, we: ce, task: w.task }, orig));
-                cs = ce + 1;
-            }
-        }
-        let mut jobs: Vec<SparseJob<'_>> = Vec::with_capacity(chunks.len());
-        let mut ub_tail: &mut [f64] = &mut ub_cur[first..=last];
-        let mut lb_tail: &mut [f64] = &mut lb_cur[first..=last];
-        let mut jtail: Option<&mut [usize]> = match jrow {
-            Some(j) => Some(&mut j[first..=last]),
-            None => None,
-        };
-        for (w, orig) in &chunks {
-            let (uh, ur) = std::mem::take(&mut ub_tail).split_at_mut(w.cells());
-            ub_tail = ur;
-            let (lh, lr) = std::mem::take(&mut lb_tail).split_at_mut(w.cells());
-            lb_tail = lr;
-            let jh = match jtail.take() {
-                Some(j) => {
-                    let (a, b) = j.split_at_mut(w.cells());
-                    jtail = Some(b);
-                    Some(a)
-                }
-                None => None,
-            };
-            jobs.push((*w, *orig, uh, lh, jh));
-        }
-        debug_assert!(
-            ub_tail.is_empty() && lb_tail.is_empty(),
-            "chunks must tile the row region exactly"
-        );
-        let results: Vec<Result<Cells, CoreError>> =
-            eng.pool.map(jobs, |(w, orig, ub_out, lb_out, jout)| {
-                eng.cancel.check()?;
-                Ok(if fwd {
-                    self.solve_window_fwd(&w, orig, ub_prev, lb_prev, ub_out, lb_out, jout, w.ws)
-                } else {
-                    debug_assert!(jout.is_none(), "backward rows record no split points");
-                    self.solve_window_bwd(&w, orig, ub_prev, lb_prev, ub_out, lb_out, w.ws)
-                })
-            });
-        let mut cells = Cells::default();
-        for c in results {
-            cells += c?;
-        }
-        Ok(cells)
-    }
-
-    /// Appends the internal cuts of a stride-sparsified `c`-piece
-    /// partition of `lo..hi` to `cuts` and returns the bracket at this
-    /// node: the achieved value of the appended partition and this
-    /// node's lower bound `min_i (F_lb[i] + B_lb[i]) ≤ E` — only the
-    /// *root's* lower bound certifies (children run over fixed
-    /// midpoints, whose degradation the a posteriori ratio test
-    /// catches). Eight scratch rows, the approx mirror of
-    /// [`DpEngine::dnc_rec`].
-    #[allow(clippy::too_many_arguments)]
-    fn dnc_rec(
-        &self,
-        lo: usize,
-        hi: usize,
-        c: usize,
-        cuts: &mut Vec<usize>,
-        scratch: &mut DncBracketScratch,
-        cells: &mut Cells,
-        rows: &mut usize,
-    ) -> Result<(f64, f64), CoreError> {
-        let eng = self.eng;
-        debug_assert!(c >= 1 && hi - lo >= c);
-        eng.cancel.check()?;
-        if c == 1 {
-            let v = eng.cost(lo, hi);
-            return Ok((v, v));
-        }
-        if hi - lo == c {
-            // Every tuple its own piece: all cuts forced, SSE 0 exactly.
-            cuts.extend(lo + 1..hi);
-            return Ok((0.0, 0.0));
-        }
-        let k_left = c / 2;
-        let k_right = c - k_left;
-        let (mut best_ub, mut best_lb, mut mid) =
-            self.dnc_node(lo, hi, k_left, k_right, scratch, cells, rows)?;
-        if !best_ub.is_finite() && self.stride > 1 {
-            // Deep nodes can have a feasible midpoint range narrower
-            // than one stride with no grid point or shared window edge
-            // inside it; redo just this node's rows exactly — the
-            // children still recurse at the probe's stride.
-            let (u, l, m) =
-                SparseDp::new(eng, 1).dnc_node(lo, hi, k_left, k_right, scratch, cells, rows)?;
-            best_ub = u;
-            best_lb = l;
-            mid = m;
-        }
-        debug_assert!(best_ub.is_finite(), "feasible subproblem must yield a finite midpoint");
-        let (left_ub, _) = self.dnc_rec(lo, mid, k_left, cuts, scratch, cells, rows)?;
-        cuts.push(mid);
-        let (right_ub, _) = self.dnc_rec(mid, hi, k_right, cuts, scratch, cells, rows)?;
-        Ok((left_ub + right_ub, best_lb))
-    }
-
-    /// One divide-and-conquer node's row fills and midpoint scan:
-    /// `k_left` forward and `k_right` backward bracket rows over
-    /// `[lo, hi]`, then the best (upper) midpoint and the node's lower
-    /// bound over the feasible midpoint range. Grid-aligned cells are
-    /// filled by both directions, so the sums are finite wherever the
-    /// node is feasible and wider than one stride.
-    #[allow(clippy::too_many_arguments)]
-    // pta-lint: allow(cancel-coverage) — each row fill below goes through
-    // SparseDp::fill_row_fwd/_bwd, which poll the token once per row.
-    fn dnc_node(
-        &self,
-        lo: usize,
-        hi: usize,
-        k_left: usize,
-        k_right: usize,
-        scratch: &mut DncBracketScratch,
-        cells: &mut Cells,
-        rows: &mut usize,
-    ) -> Result<(f64, f64, usize), CoreError> {
-        scratch.reset(lo, hi);
-        for k in 1..=k_left {
-            *cells += self.fill_row_fwd(
-                k,
-                lo,
-                hi,
-                &scratch.fwd_ub_prev,
-                &scratch.fwd_lb_prev,
-                &mut scratch.fwd_ub_cur,
-                &mut scratch.fwd_lb_cur,
-                None,
-            )?;
-            std::mem::swap(&mut scratch.fwd_ub_prev, &mut scratch.fwd_ub_cur);
-            std::mem::swap(&mut scratch.fwd_lb_prev, &mut scratch.fwd_lb_cur);
-        }
-        for k in 1..=k_right {
-            *cells += self.fill_row_bwd(
-                k,
-                lo,
-                hi,
-                &scratch.bwd_ub_prev,
-                &scratch.bwd_lb_prev,
-                &mut scratch.bwd_ub_cur,
-                &mut scratch.bwd_lb_cur,
-            )?;
-            std::mem::swap(&mut scratch.bwd_ub_prev, &mut scratch.bwd_ub_cur);
-            std::mem::swap(&mut scratch.bwd_lb_prev, &mut scratch.bwd_lb_cur);
-        }
-        *rows += k_left + k_right;
-        let mut best_ub = f64::INFINITY;
-        let mut best_lb = f64::INFINITY;
-        let mut mid = 0usize;
-        for i in (lo + k_left)..=(hi - k_right) {
-            let u = scratch.fwd_ub_prev[i] + scratch.bwd_ub_prev[i];
-            if u < best_ub {
-                best_ub = u;
-                mid = i;
-            }
-            let l = scratch.fwd_lb_prev[i] + scratch.bwd_lb_prev[i];
-            if l < best_lb {
-                best_lb = l;
-            }
-        }
-        Ok((best_ub, best_lb, mid))
-    }
-}
-
-/// Scratch rows of the bracketed divide-and-conquer recursion: the
-/// exact mode's four rows doubled for the `ub`/`lb` bracket — eight
-/// `(n + 1)`-entry rows, the entire extra memory of the mode.
-struct DncBracketScratch {
-    fwd_ub_prev: Vec<f64>,
-    fwd_ub_cur: Vec<f64>,
-    fwd_lb_prev: Vec<f64>,
-    fwd_lb_cur: Vec<f64>,
-    bwd_ub_prev: Vec<f64>,
-    bwd_ub_cur: Vec<f64>,
-    bwd_lb_prev: Vec<f64>,
-    bwd_lb_cur: Vec<f64>,
-}
-
-impl DncBracketScratch {
-    fn new(width: usize) -> Self {
-        let row = || vec![f64::INFINITY; width];
-        Self {
-            fwd_ub_prev: row(),
-            fwd_ub_cur: row(),
-            fwd_lb_prev: row(),
-            fwd_lb_cur: row(),
-            bwd_ub_prev: row(),
-            bwd_ub_cur: row(),
-            bwd_lb_prev: row(),
-            bwd_lb_cur: row(),
-        }
-    }
-
-    /// Clears a node's working range — a previous node left stale values.
-    // pta-lint: allow(cancel-coverage) — O(rows) memset with no SSE work;
-    // the node's row fills (SparseDp::fill_row_fwd/_bwd) poll the token.
-    fn reset(&mut self, lo: usize, hi: usize) {
-        for row in [
-            &mut self.fwd_ub_prev,
-            &mut self.fwd_ub_cur,
-            &mut self.fwd_lb_prev,
-            &mut self.fwd_lb_cur,
-            &mut self.bwd_ub_prev,
-            &mut self.bwd_ub_cur,
-            &mut self.bwd_lb_prev,
-            &mut self.bwd_lb_cur,
-        ] {
-            row[lo..=hi].fill(f64::INFINITY);
-        }
-    }
-}
-
-/// Number of `(n + 1)`-entry rows the bracketed table path keeps live:
-/// `c` split-point rows plus the four bracket rows.
-fn table_peak_rows(c: usize) -> usize {
-    c + 4
-}
-
-/// `PTAc` under [`DpStrategy::Approx`]: probes the refinement schedule
-/// until a partition certifies, accumulating honest work counters
-/// across probes. Dispatched by `size_bounded`'s driver after the
-/// identity/feasibility checks; requires `eps > 0` (ε = 0 runs the
-/// exact path, relabeled, without entering this module).
-// pta-lint: allow(cancel-coverage) — each row fill below goes through
-// SparseDp::fill_row_fwd, which polls the token once per row.
-pub(crate) fn size_bounded_approx(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-    engine: &DpEngine,
-    opts: &DpOptions,
-    eps: f64,
-) -> Result<DpOutcome, CoreError> {
-    let n = engine.n;
-    let width = n + 1;
-    let table = opts.mode.materializes_table(n, c);
-    let strategy = DpStrategy::Approx(eps);
-    let threads = engine.pool.threads();
-    let mut cells = Cells::default();
-    let mut rows_done = 0usize;
-    // Hoisted across probes: the split-point table and the four bracket
-    // rows are allocated once and ∞-reset per probe.
-    let mut jm: Vec<usize> = if table { vec![0usize; c * width] } else { Vec::new() };
-    let mut ub_prev = vec![f64::INFINITY; width];
-    let mut ub_cur = vec![f64::INFINITY; width];
-    let mut lb_prev = vec![f64::INFINITY; width];
-    let mut lb_cur = vec![f64::INFINITY; width];
-    let peak = if table { table_peak_rows(c) } else { 8 };
-    let exec = if table { DpExecMode::Table } else { DpExecMode::DivideConquer };
-    for &stride in &probe_strides(eps, n, c) {
-        let sparse = SparseDp::new(engine, stride);
-        let (boundaries, lb) = if table {
-            for row in [&mut ub_prev, &mut ub_cur, &mut lb_prev, &mut lb_cur] {
-                row.fill(f64::INFINITY);
-            }
-            for k in 1..=c {
-                cells += sparse
-                    .fill_row_fwd(
-                        k,
-                        0,
-                        n,
-                        &ub_prev,
-                        &lb_prev,
-                        &mut ub_cur,
-                        &mut lb_cur,
-                        Some(&mut jm[(k - 1) * width..k * width]),
-                    )
-                    .map_err(|e| {
-                        e.with_dp_progress(abort_stats(
-                            rows_done + k - 1,
-                            cells,
-                            peak,
-                            exec,
-                            strategy,
-                            threads,
-                        ))
-                    })?;
-                std::mem::swap(&mut ub_prev, &mut ub_cur);
-                std::mem::swap(&mut lb_prev, &mut lb_cur);
-            }
-            rows_done += c;
-            (engine.backtrack(&jm, c), lb_prev[n])
-        } else {
-            let mut cuts = Vec::with_capacity(c + 1);
-            cuts.push(0);
-            let mut scratch = DncBracketScratch::new(width);
-            let (_, lb) = sparse
-                .dnc_rec(0, n, c, &mut cuts, &mut scratch, &mut cells, &mut rows_done)
-                .map_err(|e| {
-                    e.with_dp_progress(abort_stats(rows_done, cells, peak, exec, strategy, threads))
-                })?;
-            cuts.push(n);
-            debug_assert_eq!(cuts.len(), c + 1);
-            (cuts, lb)
-        };
-        let reduction = Reduction::from_boundaries_with_policy(
-            input,
-            weights,
-            &engine.stats,
-            &boundaries,
-            opts.policy,
-        )?;
-        let certified = if stride == 1 {
-            // The stride-1 probe fills every cell over every candidate —
-            // the exact scan, update for update — so its partition is
-            // the optimum, certificate or not.
-            Some(1.0)
-        } else {
-            certify(reduction.sse(), lb, eps)
-        };
-        if let Some(ratio) = certified {
-            let stats = DpStats {
-                rows: rows_done,
-                cells: cells.total(),
-                scan_cells: cells.scan,
-                monge_cells: cells.monge,
-                peak_rows: peak,
-                mode: exec,
-                strategy,
-                threads,
-                certified_ratio: ratio,
-            };
-            return Ok(DpOutcome { reduction, stats });
-        }
-    }
-    // pta-lint: allow(no-panic-in-lib) — the stride-1 probe is bit-identical
-    // to the exact scan and accepted unconditionally above.
-    unreachable!("the exact stride-1 fallback probe is always accepted")
-}
-
-/// `PTAε` under [`DpStrategy::Approx`]: the Fig. 8 row loop over the
-/// bracket rows against the caller's precomputed absolute threshold.
-/// The loop stops at the first row whose *upper* bracket satisfies the
-/// bound — `ub ≥ E` row-wise, so the returned size is never below the
-/// exact minimal one and always honestly satisfies the bound; the
-/// certified ratio relates the delivered SSE to the exact optimum *for
-/// the returned size*. The row/bracket/split-point scratch is allocated
-/// once and reused across refinement probes (`∞`-reset each probe, so
-/// probes stay independent and results bit-identical to freshly
-/// allocated rows — the `dp_memory` bench pins the allocation count).
-// pta-lint: allow(cancel-coverage) — each row fill below goes through
-// SparseDp::fill_row_fwd, which polls the token once per row.
-pub(crate) fn error_bounded_approx(
-    input: &SequentialRelation,
-    weights: &Weights,
-    engine: &DpEngine,
-    opts: &DpOptions,
-    threshold: f64,
-    eps: f64,
-) -> Result<DpOutcome, CoreError> {
-    let n = engine.n;
-    let width = n + 1;
-    let row_budget = opts.mode.row_budget(n).min(n);
-    let strategy = DpStrategy::Approx(eps);
-    let threads = engine.pool.threads();
-    let mut cells = Cells::default();
-    let mut rows_done = 0usize;
-    // Hoisted across probes (the perf fix this file's bench note pins):
-    // one split-point table and four bracket rows for every probe.
-    let mut jm: Vec<usize> = Vec::new();
-    let mut ub_prev = vec![f64::INFINITY; width];
-    let mut ub_cur = vec![f64::INFINITY; width];
-    let mut lb_prev = vec![f64::INFINITY; width];
-    let mut lb_cur = vec![f64::INFINITY; width];
-    // The row count is unknown up front (the loop stops at the first
-    // satisfying row); 32 pieces is a conservative stand-in — a deeper
-    // run just means a finer first stride than strictly necessary.
-    for &stride in &probe_strides(eps, n, 32) {
-        let sparse = SparseDp::new(engine, stride);
-        for row in [&mut ub_prev, &mut ub_cur, &mut lb_prev, &mut lb_cur] {
-            row.fill(f64::INFINITY);
-        }
-        jm.clear();
-        let mut recorded = 0usize;
-        let mut found = 0usize;
-        for k in 1..=n {
-            let jrow = if k <= row_budget {
-                jm.resize(k * width, 0);
-                recorded = k;
-                Some(&mut jm[(k - 1) * width..k * width])
-            } else {
-                None
-            };
-            cells += sparse
-                .fill_row_fwd(k, 0, n, &ub_prev, &lb_prev, &mut ub_cur, &mut lb_cur, jrow)
-                .map_err(|e| {
-                    e.with_dp_progress(abort_stats(
-                        rows_done + k - 1,
-                        cells,
-                        recorded + 4,
-                        DpExecMode::Table,
-                        strategy,
-                        threads,
-                    ))
-                })?;
-            std::mem::swap(&mut ub_prev, &mut ub_cur);
-            std::mem::swap(&mut lb_prev, &mut lb_cur);
-            if ub_prev[n] <= threshold {
-                found = k;
-                break;
-            }
-        }
-        if found == 0 {
-            return Err(CoreError::non_finite_data(
-                "error-bounded DP finished without any row satisfying the bound",
-            ));
-        }
-        rows_done += found;
-        let lb = lb_prev[n];
-        let (boundaries, peak, exec) = if found <= recorded {
-            (engine.backtrack(&jm, found), recorded + 4, DpExecMode::Table)
-        } else {
-            // Recover the boundaries with the bracketed divide and
-            // conquer at the same stride — the search-phase counters
-            // fold into its partial progress if the recovery aborts.
-            let mut cuts = Vec::with_capacity(found + 1);
-            cuts.push(0);
-            let mut scratch = DncBracketScratch::new(width);
-            let peak = (recorded + 4).max(8);
-            sparse
-                .dnc_rec(0, n, found, &mut cuts, &mut scratch, &mut cells, &mut rows_done)
-                .map_err(|e| {
-                    e.with_dp_progress(abort_stats(
-                        rows_done,
-                        cells,
-                        peak,
-                        DpExecMode::DivideConquer,
-                        strategy,
-                        threads,
-                    ))
-                })?;
-            cuts.push(n);
-            (cuts, peak, DpExecMode::DivideConquer)
-        };
-        let reduction = Reduction::from_boundaries_with_policy(
-            input,
-            weights,
-            &engine.stats,
-            &boundaries,
-            opts.policy,
-        )?;
-        let certified = if stride == 1 { Some(1.0) } else { certify(reduction.sse(), lb, eps) };
-        if let Some(ratio) = certified {
-            let stats = DpStats {
-                rows: rows_done,
-                cells: cells.total(),
-                scan_cells: cells.scan,
-                monge_cells: cells.monge,
-                peak_rows: peak,
-                mode: exec,
-                strategy,
-                threads,
-                certified_ratio: ratio,
-            };
-            return Ok(DpOutcome { reduction, stats });
-        }
-    }
-    // pta-lint: allow(no-panic-in-lib) — the stride-1 probe is bit-identical
-    // to the exact scan and accepted unconditionally above.
-    unreachable!("the exact stride-1 fallback probe is always accepted")
-}
-
-/// Error-vs-size curve under [`DpStrategy::Approx`]: fills rows
-/// `1..=kmax` of the bracket DP and returns the upper curve once every
-/// entry is certified — within `(1 + ε)` of its lower bound, below the
-/// absolute noise floor (the exact tail of a curve reaches 0, where no
-/// ratio certifies), or infinite on both brackets (sizes below `cmin`).
-/// An uncertified probe refines the stride globally; stride 1 is exact.
-// pta-lint: allow(cancel-coverage) — each row fill below goes through
-// SparseDp::fill_row_fwd, which polls the token once per row.
-pub(crate) fn curve_approx(
-    engine: &DpEngine,
-    kmax: usize,
-    eps: f64,
-) -> Result<Vec<f64>, CoreError> {
-    let n = engine.n;
-    let width = n + 1;
-    let strategy = DpStrategy::Approx(eps);
-    let threads = engine.pool.threads();
-    let mut cells = Cells::default();
-    let mut rows_done = 0usize;
-    let mut ub_prev = vec![f64::INFINITY; width];
-    let mut ub_cur = vec![f64::INFINITY; width];
-    let mut lb_prev = vec![f64::INFINITY; width];
-    let mut lb_cur = vec![f64::INFINITY; width];
-    for &stride in &probe_strides(eps, n, kmax) {
-        let sparse = SparseDp::new(engine, stride);
-        for row in [&mut ub_prev, &mut ub_cur, &mut lb_prev, &mut lb_cur] {
-            row.fill(f64::INFINITY);
-        }
-        let mut ub_curve = Vec::with_capacity(kmax);
-        let mut lb_curve = Vec::with_capacity(kmax);
-        for k in 1..=kmax {
-            cells += sparse
-                .fill_row_fwd(k, 0, n, &ub_prev, &lb_prev, &mut ub_cur, &mut lb_cur, None)
-                .map_err(|e| {
-                    e.with_dp_progress(abort_stats(
-                        rows_done + k - 1,
-                        cells,
-                        4,
-                        DpExecMode::Table,
-                        strategy,
-                        threads,
-                    ))
-                })?;
-            std::mem::swap(&mut ub_prev, &mut ub_cur);
-            std::mem::swap(&mut lb_prev, &mut lb_cur);
-            ub_curve.push(ub_prev[n]);
-            lb_curve.push(lb_prev[n]);
-        }
-        rows_done += kmax;
-        if stride == 1 || curve_certified(&ub_curve, &lb_curve, eps) {
-            return Ok(ub_curve);
-        }
-    }
-    // pta-lint: allow(no-panic-in-lib) — the stride-1 probe is bit-identical
-    // to the exact scan and accepted unconditionally above.
-    unreachable!("the exact stride-1 fallback probe is always accepted")
-}
-
-/// Whether every curve entry carries its `(1 + ε)` certificate (see
-/// [`curve_approx`]).
-fn curve_certified(ub: &[f64], lb: &[f64], eps: f64) -> bool {
+/// Whether every entry of an Approx error curve carries its `(1 + ε)`
+/// certificate: within `(1 + ε)` of its lower bound, below the absolute
+/// noise floor (the exact tail of a curve reaches 0, where no ratio
+/// certifies), or infinite on both brackets (sizes below `cmin`).
+pub(crate) fn curve_certified(ub: &[f64], lb: &[f64], eps: f64) -> bool {
     let scale = ub.iter().copied().filter(|v| v.is_finite()).fold(0.0f64, f64::max);
     let floor = 1e-9 * (1.0 + scale);
     ub.iter().zip(lb).all(|(&u, &l)| {
@@ -1063,37 +105,16 @@ fn curve_certified(ub: &[f64], lb: &[f64], eps: f64) -> bool {
     })
 }
 
-/// Partial-progress stats of an aborted approx run: counters are
-/// honest, nothing is certified.
-fn abort_stats(
-    rows: usize,
-    cells: Cells,
-    peak_rows: usize,
-    mode: DpExecMode,
-    strategy: DpStrategy,
-    threads: usize,
-) -> DpStats {
-    DpStats {
-        rows,
-        cells: cells.total(),
-        scan_cells: cells.scan,
-        monge_cells: cells.monge,
-        peak_rows,
-        mode,
-        strategy,
-        threads,
-        certified_ratio: f64::INFINITY,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::curve::{optimal_error_curve_with_strategy, optimal_error_curve_with_threads};
+    use crate::cancel::CancelToken;
+    use crate::dp::curve::optimal_error_curve_with_cancel;
     use crate::dp::error_bounded::error_bounded_with_opts;
     use crate::dp::size_bounded::size_bounded_with_opts;
-    use crate::dp::tests::{fig1c, trend_series, wiggly_series};
-    use crate::dp::DpMode;
+    use crate::dp::tests::{fig1c, wiggly_series};
+    use crate::dp::{DpMode, DpOptions, DpStrategy};
+    use crate::weights::Weights;
 
     fn opts(strategy: DpStrategy) -> DpOptions {
         DpOptions { strategy, threads: 1, ..DpOptions::default() }
@@ -1124,25 +145,6 @@ mod tests {
         // Degenerate sizes never panic and end exact.
         assert_eq!(probe_strides(0.5, 3, 1), vec![1]);
         assert_eq!(*probe_strides(0.3, 500, 500).last().unwrap(), 1);
-    }
-
-    #[test]
-    fn resolve_opts_into_approx_only_without_monge_help() {
-        let flat = wiggly_series(200, 3);
-        let trend = trend_series(200, 5);
-        let base = DpOptions::default().with_auto_eps(0.1);
-        assert_eq!(resolve(&flat, &base, true), DpStrategy::Approx(0.1));
-        assert_eq!(resolve(&trend, &base, true), DpStrategy::Auto);
-        // No opt-in, explicit strategies, zero ε, or the naive baseline
-        // all pass through.
-        assert_eq!(resolve(&flat, &DpOptions::default(), true), DpStrategy::Auto);
-        assert_eq!(resolve(&flat, &base, false), DpStrategy::Auto);
-        assert_eq!(
-            resolve(&flat, &DpOptions::default().with_auto_eps(0.0), true),
-            DpStrategy::Auto
-        );
-        let pinned = DpOptions { strategy: DpStrategy::Scan, ..base };
-        assert_eq!(resolve(&flat, &pinned, true), DpStrategy::Scan);
     }
 
     #[test]
@@ -1224,9 +226,11 @@ mod tests {
     fn curve_entries_stay_within_budget() {
         let input = wiggly_series(140, 9);
         let w = Weights::uniform(1);
-        let exact = optimal_error_curve_with_strategy(&input, &w, 40, DpStrategy::Scan).unwrap();
-        let approx =
-            optimal_error_curve_with_strategy(&input, &w, 40, DpStrategy::Approx(0.1)).unwrap();
+        let curve = |strategy| {
+            optimal_error_curve_with_cancel(&input, &w, 40, strategy, 0, CancelToken::inert())
+        };
+        let exact = curve(DpStrategy::Scan).unwrap();
+        let approx = curve(DpStrategy::Approx(0.1)).unwrap();
         assert_eq!(exact.len(), approx.len());
         for (k, (e, a)) in exact.iter().zip(&approx).enumerate() {
             if e.is_infinite() {
@@ -1244,12 +248,13 @@ mod tests {
         // fan-out actually runs sparsified (chunked) open windows.
         let input = wiggly_series(600, 13);
         let w = Weights::uniform(1);
-        let base =
-            optimal_error_curve_with_threads(&input, &w, 48, DpStrategy::Approx(0.5), 1).unwrap();
+        let curve = |threads| {
+            let approx = DpStrategy::Approx(0.5);
+            optimal_error_curve_with_cancel(&input, &w, 48, approx, threads, CancelToken::inert())
+        };
+        let base = curve(1).unwrap();
         for threads in [2, 4] {
-            let par =
-                optimal_error_curve_with_threads(&input, &w, 48, DpStrategy::Approx(0.5), threads)
-                    .unwrap();
+            let par = curve(threads).unwrap();
             for (k, (a, b)) in base.iter().zip(&par).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}, size {}", k + 1);
             }

@@ -8,52 +8,33 @@
 use pta_temporal::SequentialRelation;
 
 use crate::cancel::CancelToken;
-use crate::dp::{DpEngine, DpExecMode, DpStats, DpStrategy};
+use crate::dp::{approx, Cells, DpEngine, DpExecMode, DpStrategy};
 use crate::error::CoreError;
 use crate::policy::GapPolicy;
 use crate::weights::Weights;
 
 /// Optimal reduction errors for sizes `1..=kmax` (clamped to `n`):
 /// `result[k − 1] = E[k][n]`, with `∞` for unreachable sizes `k < cmin`.
-/// Runs [`DpStrategy::Auto`], so gap-free inputs get the `O(kmax · n)`
-/// Monge bound — and with them every grid fast path built on this curve.
+/// Runs [`DpStrategy::Auto`], so gap-free monotone runs get the
+/// `O(kmax · n)` Monge bound — and with them every grid fast path built
+/// on this curve.
 pub fn optimal_error_curve(
     input: &SequentialRelation,
     weights: &Weights,
     kmax: usize,
 ) -> Result<Vec<f64>, CoreError> {
-    optimal_error_curve_with_strategy(input, weights, kmax, DpStrategy::Auto)
+    optimal_error_curve_with_cancel(input, weights, kmax, DpStrategy::Auto, 0, CancelToken::inert())
 }
 
-/// [`optimal_error_curve`] with an explicit row minimization strategy —
-/// the cross-strategy tests and the strategy benchmarks pin it. Runs at
-/// the default thread budget (`PTA_THREADS`).
-pub fn optimal_error_curve_with_strategy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    kmax: usize,
-    strategy: DpStrategy,
-) -> Result<Vec<f64>, CoreError> {
-    optimal_error_curve_with_threads(input, weights, kmax, strategy, 0)
-}
-
-/// [`optimal_error_curve_with_strategy`] with an explicit thread budget
-/// (`0` = the process default) — the parallel equivalence suite pins
-/// curves at `threads = 1` against curves at higher budgets.
-pub fn optimal_error_curve_with_threads(
-    input: &SequentialRelation,
-    weights: &Weights,
-    kmax: usize,
-    strategy: DpStrategy,
-    threads: usize,
-) -> Result<Vec<f64>, CoreError> {
-    optimal_error_curve_with_cancel(input, weights, kmax, strategy, threads, CancelToken::inert())
-}
-
-/// [`optimal_error_curve_with_threads`] under a [`CancelToken`]: a fired
-/// token aborts the curve with [`CoreError::Cancelled`] /
-/// [`CoreError::DeadlineExceeded`] carrying the rows completed so far —
-/// the deadline path of the facade's curve queries.
+/// [`optimal_error_curve`] with an explicit row minimization strategy
+/// and thread budget (`0` = the process default), under a
+/// [`CancelToken`]: a fired token aborts the curve with
+/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] carrying
+/// the rows completed so far — the deadline path of the facade's curve
+/// queries. Under `Approx(ε > 0)` every returned entry is certified
+/// within `1 + ε` of the exact optimum (see
+/// [`approx::curve_certified`](crate::dp::approx)): an uncertified probe
+/// refines the stride for the whole curve, and stride 1 is exact.
 pub fn optimal_error_curve_with_cancel(
     input: &SequentialRelation,
     weights: &Weights,
@@ -70,40 +51,40 @@ pub fn optimal_error_curve_with_cancel(
     let engine =
         DpEngine::new_full(input, weights, true, GapPolicy::Strict, true, strategy, threads)?
             .with_cancel(cancel);
-    // A positive ε dispatches to the sparsified bracket DP (every curve
-    // entry certified within 1 + ε); ε ≤ 0 falls through to the exact
-    // row loop, which an Approx-labeled engine traverses bit-identically
-    // to Scan.
-    if let DpStrategy::Approx(eps) = engine.strategy {
-        if eps > 0.0 {
-            return crate::dp::approx::curve_approx(&engine, kmax, eps);
+    let mut rows = engine.rows();
+    let mut cells = Cells::default();
+    let mut rows_done = 0usize;
+    for stride in engine.strides(kmax) {
+        let mut curve = Vec::with_capacity(kmax);
+        let mut lower = Vec::new();
+        for k in 1..=kmax {
+            cells += engine.step_fwd(k, 0, n, stride, &mut rows, None).map_err(|e| {
+                // Curve entries 1..k − 1 of this probe were completed
+                // before the abort.
+                let peak = rows.count();
+                e.with_dp_progress(engine.progress(
+                    rows_done + k - 1,
+                    cells,
+                    peak,
+                    DpExecMode::Table,
+                ))
+            })?;
+            curve.push(rows.value(n));
+            if stride > 1 {
+                lower.push(rows.lower(n));
+            }
+        }
+        rows_done += kmax;
+        match engine.approx_eps() {
+            Some(eps) if stride > 1 && !approx::curve_certified(&curve, &lower, eps) => {
+                rows.reset(0..=n);
+            }
+            _ => return Ok(curve),
         }
     }
-    let width = n + 1;
-    // Both row buffers start at ∞; each row fill resets only its window.
-    let mut prev = vec![f64::INFINITY; width];
-    let mut cur = vec![f64::INFINITY; width];
-    let mut curve = Vec::with_capacity(kmax);
-    let mut cells = crate::dp::Cells::default();
-    for k in 1..=kmax {
-        cells += engine.fill_row_fwd(k, 0, n, &prev, &mut cur, None).map_err(|e| {
-            // Curve entries 1..k − 1 were completed before the abort.
-            e.with_dp_progress(DpStats {
-                rows: k - 1,
-                cells: cells.total(),
-                scan_cells: cells.scan,
-                monge_cells: cells.monge,
-                peak_rows: 2,
-                mode: DpExecMode::Table,
-                strategy: engine.strategy,
-                threads: engine.pool.threads(),
-                certified_ratio: 1.0,
-            })
-        })?;
-        std::mem::swap(&mut prev, &mut cur);
-        curve.push(prev[n]);
-    }
-    Ok(curve)
+    // pta-lint: allow(no-panic-in-lib) — the last probe is the exact stride
+    // 1, which certifies unconditionally.
+    unreachable!("the exact stride-1 probe always certifies")
 }
 
 #[cfg(test)]
@@ -168,8 +149,11 @@ mod tests {
         }
         let input = b.build();
         let w = Weights::uniform(1);
-        let scan = optimal_error_curve_with_strategy(&input, &w, 40, DpStrategy::Scan).unwrap();
-        let monge = optimal_error_curve_with_strategy(&input, &w, 40, DpStrategy::Monge).unwrap();
+        let curve = |strategy| {
+            optimal_error_curve_with_cancel(&input, &w, 40, strategy, 0, CancelToken::inert())
+        };
+        let scan = curve(DpStrategy::Scan).unwrap();
+        let monge = curve(DpStrategy::Monge).unwrap();
         let auto = optimal_error_curve(&input, &w, 40).unwrap();
         for k in 0..40 {
             assert_eq!(scan[k].to_bits(), monge[k].to_bits(), "size {}", k + 1);

@@ -2,12 +2,8 @@
 
 use pta_temporal::SequentialRelation;
 
-use crate::dp::{
-    max_error_over_runs, Cells, DpEngine, DpExecMode, DpMode, DpOptions, DpOutcome, DpStats,
-    DpStrategy,
-};
+use crate::dp::{max_error_over_runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome};
 use crate::error::CoreError;
-use crate::policy::GapPolicy;
 use crate::reduction::Reduction;
 use crate::weights::Weights;
 
@@ -30,30 +26,10 @@ pub fn error_bounded(
     error_bounded_with_opts(input, weights, epsilon, DpOptions::default())
 }
 
-/// `PTAε` under a mergeability policy (§8 gap-tolerant extension): both
-/// the maximal error and the feasible merges follow the policy.
-pub fn error_bounded_with_policy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    epsilon: f64,
-    policy: GapPolicy,
-) -> Result<DpOutcome, CoreError> {
-    error_bounded_with_opts(input, weights, epsilon, DpOptions { policy, ..DpOptions::default() })
-}
-
-/// `PTAε` with an explicit backtracking mode — pin [`DpMode::Table`] or
-/// [`DpMode::DivideConquer`], or set a custom [`DpMode::Budget`].
-pub fn error_bounded_with_mode(
-    input: &SequentialRelation,
-    weights: &Weights,
-    epsilon: f64,
-    mode: DpMode,
-) -> Result<DpOutcome, CoreError> {
-    error_bounded_with_opts(input, weights, epsilon, DpOptions { mode, ..DpOptions::default() })
-}
-
-/// `PTAε` with both the mergeability policy and the backtracking mode
-/// chosen by the caller — the fully general entry point the facade uses.
+/// `PTAε` with every [`DpOptions`] knob chosen by the caller — under a
+/// mergeability policy (§8 gap-tolerant extension) both the maximal error
+/// and the feasible merges follow the policy. The fully general entry
+/// point the facade uses.
 pub fn error_bounded_with_opts(
     input: &SequentialRelation,
     weights: &Weights,
@@ -63,35 +39,32 @@ pub fn error_bounded_with_opts(
     if !(0.0..=1.0).contains(&epsilon) {
         return Err(CoreError::invalid_error_bound(epsilon));
     }
-    let n = input.len();
-    if n == 0 {
-        return Ok(DpOutcome { reduction: Reduction::identity(input), stats: DpStats::default() });
+    if input.is_empty() {
+        return Ok(DpOutcome::identity(input, opts.strategy, opts.threads));
     }
-    let strategy = super::approx::resolve(input, &opts, true);
     let engine =
-        DpEngine::new_full(input, weights, true, opts.policy, true, strategy, opts.threads)?
+        DpEngine::new_full(input, weights, true, opts.policy, true, opts.strategy, opts.threads)?
             .with_cancel(opts.cancel.clone());
-    let emax = max_error_over_runs(weights, &engine.stats, &engine.gaps, n);
+    let emax = max_error_over_runs(weights, &engine.stats, &engine.gaps, engine.n);
     if !emax.is_finite() {
         return Err(CoreError::non_finite_data("maximal reduction error is not finite"));
     }
     // Absolute tolerance so ε = 1 stops exactly at cmin despite the DP and
     // the direct Emax summation accumulating rounding differently.
     let threshold = epsilon * emax + 1e-9 * (1.0 + emax);
-    // A positive ε dispatches to the sparsified bracket DP; ε ≤ 0 falls
-    // through to the exact row loop, which an Approx-labeled engine
-    // traverses bit-identically to Scan.
-    if let DpStrategy::Approx(eps) = engine.strategy {
-        if eps > 0.0 {
-            return super::approx::error_bounded_approx(
-                input, weights, &engine, &opts, threshold, eps,
-            );
-        }
-    }
-    run_with_threshold(input, weights, &engine, opts, threshold)
+    run_with_threshold(input, weights, &engine, &opts, threshold)
 }
 
-/// The Fig. 8 row loop against a precomputed absolute threshold.
+/// The Fig. 8 row loop against a precomputed absolute threshold, once
+/// per stride of the strategy's schedule (one exact stride-1 probe unless
+/// the strategy is `Approx(ε > 0)`). The loop stops at the first row
+/// whose value satisfies the bound; on an Approx probe the value row is
+/// the upper bracket (`ub ≥ E` row-wise), so the returned size is never
+/// below the exact minimal one and always honestly satisfies the bound,
+/// and the certified ratio relates the delivered SSE to the exact optimum
+/// *for the returned size*. The rows and the split-point table are
+/// reused across probes (`∞`-reset between them).
+///
 /// Factored out so the `found == 0` backstop is unit-testable: with finite
 /// inputs `E[n][n] = 0` always satisfies any valid threshold, so the
 /// typed-error path below is reachable only when a non-finite value
@@ -102,111 +75,89 @@ fn run_with_threshold(
     input: &SequentialRelation,
     weights: &Weights,
     engine: &DpEngine,
-    opts: DpOptions,
+    opts: &DpOptions,
     threshold: f64,
 ) -> Result<DpOutcome, CoreError> {
     let n = engine.n;
     let width = n + 1;
     // Split-point rows are recorded only while the table stays within the
-    // mode's budget; past it the rows keep filling (two error rows only)
+    // mode's budget; past it the rows keep filling (two value rows only)
     // and boundaries are recovered by divide and conquer afterwards.
     let row_budget = opts.mode.row_budget(n).min(n);
     let mut jm: Vec<usize> = Vec::new();
-    // Both row buffers start at ∞; each row fill resets only its own
-    // window (see `fill_row_fwd`), so sparse rows cost O(window).
-    let mut prev = vec![f64::INFINITY; width];
-    let mut cur = vec![f64::INFINITY; width];
+    let mut rows = engine.rows();
     let mut cells = Cells::default();
-    let mut found = 0usize;
-    let mut recorded = 0usize;
-    for k in 1..=n {
-        let jrow = if k <= row_budget {
-            jm.resize(k * width, 0);
-            recorded = k;
-            Some(&mut jm[(k - 1) * width..k * width])
-        } else {
-            None
-        };
-        cells += engine.fill_row_fwd(k, 0, n, &prev, &mut cur, jrow).map_err(|e| {
-            // Rows 1..k − 1 completed before the abort.
-            e.with_dp_progress(DpStats {
-                rows: k - 1,
-                cells: cells.total(),
-                scan_cells: cells.scan,
-                monge_cells: cells.monge,
-                peak_rows: recorded + 2,
-                mode: DpExecMode::Table,
-                strategy: engine.strategy,
-                threads: engine.pool.threads(),
-                certified_ratio: 1.0,
-            })
-        })?;
-        std::mem::swap(&mut prev, &mut cur);
-        if prev[n] <= threshold {
-            found = k;
-            break;
+    let mut rows_done = 0usize;
+    // The row count is unknown up front (the loop stops at the first
+    // satisfying row); 32 pieces is a conservative stand-in for the
+    // Approx stride schedule — a deeper run just means a finer first
+    // stride than strictly necessary.
+    for stride in engine.strides(32) {
+        let mut found = 0usize;
+        let mut recorded = 0usize;
+        for k in 1..=n {
+            let splits = if k <= row_budget {
+                jm.resize(k * width, 0);
+                recorded = k;
+                Some(&mut jm[(k - 1) * width..k * width])
+            } else {
+                None
+            };
+            cells += engine.step_fwd(k, 0, n, stride, &mut rows, splits).map_err(|e| {
+                // Rows 1..k − 1 of this probe completed before the abort.
+                let peak = recorded + rows.count();
+                e.with_dp_progress(engine.progress(
+                    rows_done + k - 1,
+                    cells,
+                    peak,
+                    DpExecMode::Table,
+                ))
+            })?;
+            if rows.value(n) <= threshold {
+                found = k;
+                break;
+            }
         }
-    }
-    if found == 0 {
-        return Err(CoreError::non_finite_data(
-            "error-bounded DP finished without any row satisfying the bound",
-        ));
-    }
-
-    let (boundaries, stats) = if found <= recorded {
-        let boundaries = engine.backtrack(&jm, found);
-        let stats = DpStats {
-            rows: found,
-            cells: cells.total(),
-            scan_cells: cells.scan,
-            monge_cells: cells.monge,
-            peak_rows: recorded + 2,
-            mode: DpExecMode::Table,
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            certified_ratio: 1.0,
+        if found == 0 {
+            return Err(CoreError::non_finite_data(
+                "error-bounded DP finished without any row satisfying the bound",
+            ));
+        }
+        rows_done += found;
+        let lower = rows.lower(n);
+        let (boundaries, peak, mode) = if found <= recorded {
+            (engine.backtrack(&jm, found), recorded + rows.count(), DpExecMode::Table)
+        } else {
+            // Free the split-point rows and reuse the search rows as the
+            // forward scratch, so the peak stays at max(search, recovery).
+            // The search-phase work folds into the recovery's partial
+            // progress if the recovery itself is aborted.
+            jm = Vec::new();
+            let mut bwd = engine.rows();
+            let peak = (recorded + rows.count()).max(rows.count() + bwd.count());
+            let mode = DpExecMode::DivideConquer;
+            let part = engine
+                .dnc_boundaries(stride, found, &mut rows, &mut bwd, &mut cells, &mut rows_done)
+                .map_err(|e| e.with_dp_progress(engine.progress(rows_done, cells, peak, mode)))?;
+            (part.boundaries, peak, mode)
         };
-        (boundaries, stats)
-    } else {
-        // Free the search-phase rows before the divide-and-conquer scratch
-        // rows are allocated, keeping the peak at max(search, recovery).
-        drop(jm);
-        drop(prev);
-        drop(cur);
-        // Fold the search-phase work into the recovery's partial progress
-        // if the recovery itself is aborted.
-        let out = engine.dnc_boundaries(found).map_err(|e| {
-            let mut p = e.dp_progress().copied().unwrap_or_default();
-            p.rows += found;
-            p.cells += cells.total();
-            p.scan_cells += cells.scan;
-            p.monge_cells += cells.monge;
-            e.with_dp_progress(p)
-        })?;
-        let mut total = cells;
-        total += out.cells;
-        let stats = DpStats {
-            rows: found + out.rows,
-            cells: total.total(),
-            scan_cells: total.scan,
-            monge_cells: total.monge,
-            peak_rows: (recorded + 2).max(4),
-            mode: DpExecMode::DivideConquer,
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            certified_ratio: 1.0,
-        };
-        (out.boundaries, stats)
-    };
-
-    let reduction = Reduction::from_boundaries_with_policy(
-        input,
-        weights,
-        &engine.stats,
-        &boundaries,
-        opts.policy,
-    )?;
-    Ok(DpOutcome { reduction, stats })
+        let reduction = Reduction::from_boundaries_with_policy(
+            input,
+            weights,
+            &engine.stats,
+            &boundaries,
+            opts.policy,
+        )?;
+        if let Some(ratio) = engine.certify(stride, reduction.sse(), lower) {
+            let stats = engine.run_stats(rows_done, cells, peak, mode, ratio);
+            return Ok(DpOutcome { reduction, stats });
+        }
+        rows.reset(0..=n);
+        jm.clear();
+    }
+    // pta-lint: allow(no-panic-in-lib) — the last probe is the exact stride
+    // 1, which certifies unconditionally.
+    unreachable!("the exact stride-1 probe always certifies")
 }
 
 #[cfg(test)]
@@ -214,6 +165,12 @@ mod tests {
     use super::*;
     use crate::dp::size_bounded::size_bounded;
     use crate::dp::tests::fig1c;
+    use crate::dp::DpMode;
+    use crate::policy::GapPolicy;
+
+    fn with_mode(mode: DpMode) -> DpOptions {
+        DpOptions::default().with_mode(mode)
+    }
 
     /// Example 7, consistent reading (see DESIGN.md errata): ε = 1 gives
     /// the maximal reduction to 3 tuples; ε = 0.2 gives 4 tuples as in
@@ -268,8 +225,9 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for eps in [0.0, 0.02, 0.05, 0.2, 0.5, 1.0] {
-            let table = error_bounded_with_mode(&input, &w, eps, DpMode::Table).unwrap();
-            let dnc = error_bounded_with_mode(&input, &w, eps, DpMode::DivideConquer).unwrap();
+            let table = error_bounded_with_opts(&input, &w, eps, with_mode(DpMode::Table)).unwrap();
+            let dnc =
+                error_bounded_with_opts(&input, &w, eps, with_mode(DpMode::DivideConquer)).unwrap();
             assert_eq!(table.stats.mode, DpExecMode::Table);
             assert_eq!(dnc.stats.mode, DpExecMode::DivideConquer);
             assert!(dnc.stats.peak_rows <= 4, "eps {eps}: {} rows", dnc.stats.peak_rows);
@@ -296,7 +254,7 @@ mod tests {
         )
         .unwrap();
         let err =
-            run_with_threshold(&input, &w, &engine, DpOptions::default(), f64::NAN).unwrap_err();
+            run_with_threshold(&input, &w, &engine, &DpOptions::default(), f64::NAN).unwrap_err();
         assert!(err.common().is_some_and(pta_temporal::CommonError::is_invalid_parameter));
         assert!(err.to_string().contains("non-finite"));
     }

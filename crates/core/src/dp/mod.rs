@@ -39,6 +39,29 @@
 //!   row values and split points (tie-breaking follows the scan; see the
 //!   [`monge`] module docs), pinned by the cross-strategy equivalence
 //!   suite.
+//! * **Approx** ([`DpStrategy::Approx`]): the certified `(1 + ε)` tier
+//!   for unsorted gap-free data, where no window carries the certificate
+//!   and the scan is `O(c · n²)`. It runs the same fills on a sparser
+//!   candidate grid (see [`approx`]).
+//!
+//! # One row engine
+//!
+//! Every strategy, mode and entry point runs through the same machinery:
+//! one forward row fill and its mirrored backward fill, one window solver
+//! per direction, one parallel chunker and fan-out, one divide-and-conquer
+//! recursion, and one driver per entry point. Beyond the Monge window
+//! engine (exact strategies only), a run's strategy sets two parameters
+//! of every fill:
+//!
+//! * the **grid stride** `b`: 1 for the exact strategies — every cell
+//!   over every candidate — and, for `Approx(ε > 0)`, each stride of the
+//!   [`approx::probe_strides`] schedule in turn, whose fills solve only
+//!   the grid cells over the grid candidates;
+//! * the optional **lower-bracket row** `lb`, carried beside the value
+//!   row by `Approx(ε > 0)` runs only; it certifies their result (see
+//!   [`approx`] for the soundness proof). Exact runs allocate no `lb`
+//!   rows and do no `lb` work per candidate: the window scan is compiled
+//!   once with the bracket and once without.
 //!
 //! # Backtracking modes and their memory model
 //!
@@ -54,8 +77,8 @@
 //!   To split `n` tuples into `c` pieces, run a forward DP to row
 //!   `⌊c/2⌋` and a mirrored *suffix* DP to row `⌈c/2⌉` (two rows each),
 //!   pick the midpoint `m` minimizing their sum, and recurse on the two
-//!   halves (Hirschberg's scheme). Memory is four scratch rows —
-//!   `O(n)` regardless of `c` — and because each recursion level halves
+//!   halves (Hirschberg's scheme). Memory is four scratch rows (eight
+//!   with `lb` rows) — `O(n)` regardless of `c` — and because each recursion level halves
 //!   both the piece count and the covered area, the total work is at most
 //!   ~2× the single-pass table fill. This is what lifts exact PTA to
 //!   inputs with `n` in the millions.
@@ -83,6 +106,8 @@ pub mod error_bounded;
 pub mod monge;
 pub mod size_bounded;
 
+use std::ops::RangeInclusive;
+
 use pta_failpoints::fail_point;
 use pta_pool::Pool;
 use pta_temporal::SequentialRelation;
@@ -92,6 +117,7 @@ use crate::error::CoreError;
 use crate::gaps::GapVector;
 use crate::policy::GapPolicy;
 use crate::prefix::PrefixStats;
+use crate::reduction::Reduction;
 use crate::weights::Weights;
 
 pub use approx::DEFAULT_APPROX_EPS;
@@ -185,14 +211,6 @@ pub struct DpOptions {
     /// to make the run abort with [`CoreError::Cancelled`] /
     /// [`CoreError::DeadlineExceeded`] carrying partial-progress stats.
     pub cancel: CancelToken,
-    /// Opt-in approximation budget for [`DpStrategy::Auto`]: when set to
-    /// `Some(eps)` with `eps > 0` and the monotone-run certificate fails
-    /// (no Monge window would be wide enough to help), `Auto` resolves to
-    /// [`DpStrategy::Approx`]`(eps)` instead of the quadratic scan.
-    /// `None` (the default) keeps `Auto` exact — its pre-existing
-    /// semantics are unchanged unless the caller opts in. Ignored by the
-    /// explicit strategies.
-    pub auto_eps: Option<f64>,
 }
 
 impl DpOptions {
@@ -228,14 +246,6 @@ impl DpOptions {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Opts [`DpStrategy::Auto`] into the `(1 + eps)`-approximate tier on
-    /// non-Monge data (see [`DpOptions::auto_eps`]).
-    #[must_use]
-    pub fn with_auto_eps(mut self, eps: f64) -> Self {
-        self.auto_eps = Some(eps);
         self
     }
 }
@@ -304,9 +314,24 @@ impl Default for DpStats {
 #[derive(Debug, Clone)]
 pub struct DpOutcome {
     /// The optimal reduction.
-    pub reduction: crate::reduction::Reduction,
+    pub reduction: Reduction,
     /// Work counters.
     pub stats: DpStats,
+}
+
+impl DpOutcome {
+    /// The identity reduction of a run with nothing to merge (an empty
+    /// input, or `c ≥ n`): no rows and no cells, but the strategy the run
+    /// was asked for and its resolved thread budget.
+    pub(crate) fn identity(
+        input: &SequentialRelation,
+        strategy: DpStrategy,
+        threads: usize,
+    ) -> Self {
+        let stats =
+            DpStats { strategy, threads: Pool::new(threads).threads(), ..DpStats::default() };
+        Self { reduction: Reduction::identity(input), stats }
+    }
 }
 
 /// Per-strategy split-point evaluation counters of one or more row fills.
@@ -378,12 +403,10 @@ enum WindowTask {
 struct RowWindow {
     ws: usize,
     we: usize,
+    /// First and last cell of the whole window; chunks inherit them.
+    edges: (usize, usize),
     task: WindowTask,
 }
-
-/// One parallel row-fill job: a window chunk plus its disjoint output
-/// slice(s) of the row being filled.
-type RowJob<'a> = (RowWindow, &'a mut [f64], Option<&'a mut [usize]>);
 
 impl RowWindow {
     /// Number of cells in the window.
@@ -391,13 +414,25 @@ impl RowWindow {
         self.we - self.ws + 1
     }
 
-    /// Upper bound on the window's split-point evaluations, assuming the
-    /// candidate count per cell grows away from `jbound` (forward rows:
-    /// cell `i` scans at most `i − jmin`; backward rows are mirrored by
-    /// the caller flipping `lohi`). Monge windows are estimated at their
-    /// SMAWK bound. The early break can only shrink the real work, so
-    /// this is a fan-out *gate*, not an exact cost.
-    fn work(&self, fwd: bool) -> u64 {
+    /// Whether an open-window cell is solved on the stride-`stride` grid:
+    /// grid-aligned positions plus the window's own edges. Edges matter
+    /// because the next row reads this row at window boundaries — its
+    /// `jbound` is either the row floor (= the first window's `ws`) or a
+    /// gap break (= some window's `we`) — so keeping them solved keeps
+    /// every future candidate finite wherever the exact DP is finite. A
+    /// pure function of the whole window's edges, never of chunk edges.
+    #[inline]
+    fn on_grid(&self, i: usize, stride: usize) -> bool {
+        stride == 1 || i.is_multiple_of(stride) || i == self.edges.0 || i == self.edges.1
+    }
+
+    /// Upper bound on the window's split-point evaluations at `stride`,
+    /// assuming the candidate count per cell grows away from `jbound`
+    /// (forward rows: cell `i` scans at most `i − jmin`; backward rows
+    /// are mirrored). Monge windows are estimated at their SMAWK bound.
+    /// The early break can only shrink the real work, so this is a
+    /// fan-out and cancel-poll *gate*, not an exact cost.
+    fn work(&self, fwd: bool, stride: usize) -> u64 {
         match self.task {
             WindowTask::Forced { .. } => self.cells() as u64,
             WindowTask::Open { jbound, engine } => {
@@ -409,11 +444,185 @@ impl RowWindow {
                 match engine {
                     // SMAWK/D&C evaluate O(rows + cols) oracle entries.
                     Some(_) => 4 * (self.cells() as u64 + b),
-                    None => (a + b) * (b - a + 1) / 2,
+                    None => grid_work((a + b) * (b - a + 1) / 2, stride),
                 }
             }
         }
     }
+}
+
+/// Scales an every-cell, every-candidate evaluation estimate to the
+/// stride-`b` grid: a `1/b` share of the cells, each scanning a `1/b`
+/// share of its candidates at two evaluations apiece (upper and lower
+/// bracket). Stride 1 is the exact scan's estimate, unchanged.
+fn grid_work(work: u64, stride: usize) -> u64 {
+    if stride == 1 {
+        work
+    } else {
+        2 * work / (stride * stride) as u64
+    }
+}
+
+/// The row a fill reads: DP row `k − 1`, plus its lower bracket on an
+/// `Approx(ε > 0)` probe.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowIn<'a> {
+    val: &'a [f64],
+    lb: Option<&'a [f64]>,
+}
+
+impl<'a> RowIn<'a> {
+    /// An unbracketed row (the exact strategies).
+    pub(crate) fn values(val: &'a [f64]) -> Self {
+        Self { val, lb: None }
+    }
+
+    /// The lower bracket at `j` — the value itself when unbracketed.
+    #[inline]
+    fn lower(&self, j: usize) -> f64 {
+        self.lb.map_or(self.val[j], |lb| lb[j])
+    }
+}
+
+/// The slices a fill writes: DP row `k`, its lower bracket on an
+/// `Approx(ε > 0)` probe, and the split-point row when the run records
+/// one. Cell `i` lands at index `i − at`, so the sequential fill writes
+/// whole absolute-indexed rows (`at = 0`) and the parallel fill hands
+/// each chunk its disjoint subslices.
+#[derive(Debug)]
+pub(crate) struct RowOut<'a> {
+    at: usize,
+    val: &'a mut [f64],
+    lb: Option<&'a mut [f64]>,
+    splits: Option<&'a mut [usize]>,
+}
+
+impl<'a> RowOut<'a> {
+    /// An unbracketed row (the exact strategies).
+    pub(crate) fn values(val: &'a mut [f64], splits: Option<&'a mut [usize]>) -> Self {
+        Self { at: 0, val, lb: None, splits }
+    }
+
+    /// Sets cells `range` to `∞` in the value and bracket rows.
+    fn reset(&mut self, range: RangeInclusive<usize>) {
+        let range = range.start() - self.at..=range.end() - self.at;
+        self.val[range.clone()].fill(f64::INFINITY);
+        if let Some(lb) = self.lb.as_deref_mut() {
+            lb[range].fill(f64::INFINITY);
+        }
+    }
+
+    /// Writes cell `i`: its value and, when bracketed, its lower bound.
+    #[inline]
+    fn put(&mut self, i: usize, val: f64, lower: f64) {
+        self.val[i - self.at] = val;
+        if let Some(lb) = self.lb.as_deref_mut() {
+            lb[i - self.at] = lower;
+        }
+    }
+
+    /// Records cell `i`'s best split point, when the run records them.
+    #[inline]
+    fn split(&mut self, i: usize, j: usize) {
+        if let Some(splits) = self.splits.as_deref_mut() {
+            splits[i - self.at] = j;
+        }
+    }
+
+    /// Splits off the first `len` cells as their own output.
+    fn take_front(&mut self, len: usize) -> Self {
+        fn cut<'s, T>(slice: &mut &'s mut [T], len: usize) -> &'s mut [T] {
+            let (head, rest) = std::mem::take(slice).split_at_mut(len);
+            *slice = rest;
+            head
+        }
+        let front = Self {
+            at: self.at,
+            val: cut(&mut self.val, len),
+            lb: self.lb.as_mut().map(|lb| cut(lb, len)),
+            splits: self.splits.as_mut().map(|s| cut(s, len)),
+        };
+        self.at += len;
+        front
+    }
+}
+
+/// The two alternating rows of a DP sweep — row `k − 1` (`prev`) and
+/// row `k` (`cur`) — plus, on an `Approx(ε > 0)` run, the matching pair
+/// of lower-bracket rows. Every row is `n + 1` entries, absolute-indexed
+/// and `∞`-initialized; each fill resets only its own window (see
+/// [`DpEngine::fill_row_fwd`]), so sparse rows cost `O(window)`.
+pub(crate) struct Rows {
+    prev: Vec<f64>,
+    cur: Vec<f64>,
+    lb: Option<(Vec<f64>, Vec<f64>)>,
+}
+
+impl Rows {
+    fn new(width: usize, bracket: bool) -> Self {
+        let row = || vec![f64::INFINITY; width];
+        Self { prev: row(), cur: row(), lb: bracket.then(|| (row(), row())) }
+    }
+
+    /// Number of `(n + 1)`-entry rows held — this buffer's share of
+    /// [`DpStats::peak_rows`].
+    pub(crate) fn count(&self) -> usize {
+        if self.lb.is_some() {
+            4
+        } else {
+            2
+        }
+    }
+
+    /// Resets cells `range` of every row to `∞`.
+    pub(crate) fn reset(&mut self, range: RangeInclusive<usize>) {
+        self.prev[range.clone()].fill(f64::INFINITY);
+        self.cur[range.clone()].fill(f64::INFINITY);
+        if let Some((prev, cur)) = &mut self.lb {
+            prev[range.clone()].fill(f64::INFINITY);
+            cur[range].fill(f64::INFINITY);
+        }
+    }
+
+    /// Cell `i` of the last completed row.
+    pub(crate) fn value(&self, i: usize) -> f64 {
+        self.prev[i]
+    }
+
+    /// Cell `i` of the last completed row's lower bracket — the value
+    /// itself when unbracketed.
+    pub(crate) fn lower(&self, i: usize) -> f64 {
+        self.lb.as_ref().map_or(self.prev[i], |(prev, _)| prev[i])
+    }
+
+    /// The row to read and the row to write for the next fill.
+    fn io<'a>(&'a mut self, splits: Option<&'a mut [usize]>) -> (RowIn<'a>, RowOut<'a>) {
+        let (lb_in, lb_out) = match &mut self.lb {
+            Some((prev, cur)) => (Some(&prev[..]), Some(&mut cur[..])),
+            None => (None, None),
+        };
+        (
+            RowIn { val: &self.prev, lb: lb_in },
+            RowOut { at: 0, val: &mut self.cur, lb: lb_out, splits },
+        )
+    }
+
+    /// Makes the row just written the row the next fill reads.
+    fn swap(&mut self) {
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        if let Some((prev, cur)) = &mut self.lb {
+            std::mem::swap(prev, cur);
+        }
+    }
+}
+
+/// A partition one probe produced: its boundaries (prefix lengths,
+/// `0` and `n` included), the DP's value for it, and a lower bound on
+/// the exact optimum — the value itself on exact probes.
+pub(crate) struct Partition {
+    pub(crate) boundaries: Vec<usize>,
+    pub(crate) value: f64,
+    pub(crate) lower: f64,
 }
 
 /// The largest possible reduction error `SSE_max = SSE(s, ρ(s, cmin))`:
@@ -517,28 +726,6 @@ fn monotone_run_ends(input: &SequentialRelation) -> Vec<usize> {
     mono
 }
 
-/// Result of one divide-and-conquer backtracking run.
-pub(crate) struct DncOutcome {
-    /// Partition boundaries including `lo` and `hi` (prefix lengths).
-    pub(crate) boundaries: Vec<usize>,
-    /// Split-point evaluations performed, per strategy.
-    pub(crate) cells: Cells,
-    /// Rows filled across the recursion.
-    pub(crate) rows: usize,
-    /// The optimal SSE `E[c][n]` observed at the top split (0 for `c = 1`
-    /// base calls, where it is the single range SSE).
-    pub(crate) optimal_sse: f64,
-}
-
-/// Scratch rows reused across the whole divide-and-conquer recursion —
-/// four `(n + 1)`-entry rows, the entire extra memory of the mode.
-struct DncScratch {
-    fwd_prev: Vec<f64>,
-    fwd_cur: Vec<f64>,
-    bwd_prev: Vec<f64>,
-    bwd_cur: Vec<f64>,
-}
-
 impl DpEngine {
     pub(crate) fn new_full(
         input: &SequentialRelation,
@@ -553,9 +740,7 @@ impl DpEngine {
         // The unpruned Fig. 18 baseline measures the plain recurrence;
         // Monge minimization would change what it benchmarks.
         let strategy = if prune { strategy } else { DpStrategy::Scan };
-        // Only the Monge strategies consume the certificate; an Approx
-        // engine behaves exactly like Scan through this machinery (the
-        // approx drivers own the sparsification on top of it).
+        // Only the Monge strategies consume the certificate.
         let mono_end = matches!(strategy, DpStrategy::Monge | DpStrategy::Auto)
             .then(|| monotone_run_ends(input));
         Ok(Self {
@@ -577,6 +762,76 @@ impl DpEngine {
     pub(crate) fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
+    }
+
+    /// The `ε` of an `Approx(ε > 0)` run, whose probes fill stride grids
+    /// with lower-bracket rows. `None` for the exact strategies and for
+    /// `Approx(0)`, which is the exact scan under the approx label.
+    pub(crate) fn approx_eps(&self) -> Option<f64> {
+        match self.strategy {
+            DpStrategy::Approx(eps) if eps > 0.0 => Some(eps),
+            _ => None,
+        }
+    }
+
+    /// The grid strides a run probes, in order, for about `pieces` DP
+    /// rows: the [`approx::probe_strides`] schedule, or the exact stride 1.
+    pub(crate) fn strides(&self, pieces: usize) -> Vec<usize> {
+        match self.approx_eps() {
+            Some(eps) => approx::probe_strides(eps, self.n, pieces),
+            None => vec![1],
+        }
+    }
+
+    /// The certified ratio of a probe at `stride` that delivered `sse`
+    /// against the lower bound `lower`, or `None` when the probe does
+    /// not certify. Stride 1 fills every cell over every candidate — the
+    /// exact scan, update for update — so it certifies unconditionally.
+    pub(crate) fn certify(&self, stride: usize, sse: f64, lower: f64) -> Option<f64> {
+        match self.approx_eps() {
+            Some(eps) if stride > 1 => approx::certify(sse, lower, eps),
+            _ => Some(1.0),
+        }
+    }
+
+    /// Fresh `∞` rows for a sweep, bracketed on an `Approx(ε > 0)` run.
+    pub(crate) fn rows(&self) -> Rows {
+        Rows::new(self.n + 1, self.approx_eps().is_some())
+    }
+
+    /// The statistics of a run of this engine.
+    pub(crate) fn run_stats(
+        &self,
+        rows: usize,
+        cells: Cells,
+        peak_rows: usize,
+        mode: DpExecMode,
+        certified_ratio: f64,
+    ) -> DpStats {
+        DpStats {
+            rows,
+            cells: cells.total(),
+            scan_cells: cells.scan,
+            monge_cells: cells.monge,
+            peak_rows,
+            mode,
+            strategy: self.strategy,
+            threads: self.pool.threads(),
+            certified_ratio,
+        }
+    }
+
+    /// The partial-progress statistics of an aborted run: honest
+    /// counters; an `Approx(ε > 0)` run certified nothing.
+    pub(crate) fn progress(
+        &self,
+        rows: usize,
+        cells: Cells,
+        peak: usize,
+        mode: DpExecMode,
+    ) -> DpStats {
+        let ratio = if self.approx_eps().is_some() { f64::INFINITY } else { 1.0 };
+        self.run_stats(rows, cells, peak, mode, ratio)
     }
 
     /// Cost of merging tuples `j..i` (prefix lengths) into one tuple: the
@@ -620,31 +875,36 @@ impl DpEngine {
                 Some(if wide { RowMinEngine::Smawk } else { RowMinEngine::DivideConquer })
             }
             DpStrategy::Auto => wide.then_some(RowMinEngine::Smawk),
-            // Approx engines scan their (sparsified) candidate sets; the
-            // Monge row minimizers assume the full range.
+            // Approx scans its (sparsified) candidate sets; the Monge row
+            // minimizers assume the full range.
             DpStrategy::Approx(_) => None,
         }
     }
 
     /// Fills row `k` of the subproblem "partition tuples `lo..hi`": for
     /// every prefix length `i` in the row's *window* `lo + k ..= imax(k)`,
-    /// `cur[i]` becomes the smallest SSE of reducing tuples `lo..i` to `k`
-    /// tuples, reading row `k − 1` from `prev`. Rows are full-width and
-    /// absolute-indexed; only the window is reset (to `∞`) and written, so
-    /// a row costs `O(window)` — on gap-rich data the window is far
-    /// smaller than `n`, which is what keeps paper-scale runs near-linear.
-    /// Callers must hand in row buffers whose `[lo..=hi]` slice was
-    /// `∞`-initialized before row 1 and alternate `prev`/`cur` between
-    /// consecutive rows; positions outside every window then stay `∞`
-    /// (windows only move right as `k` grows), which is exactly their
-    /// semantic value. When `jrow` is given, records the best split point
-    /// per cell. Returns the per-strategy split-point evaluation counts.
+    /// `out` cell `i` becomes the smallest SSE of reducing tuples `lo..i`
+    /// to `k` tuples, reading row `k − 1` from `prev`. Rows are full-width
+    /// and absolute-indexed; only the window is reset (to `∞`) and
+    /// written, so a row costs `O(window)` — on gap-rich data the window
+    /// is far smaller than `n`, which is what keeps paper-scale runs
+    /// near-linear. Callers must hand in row buffers whose `[lo..=hi]`
+    /// slice was `∞`-initialized before row 1 and alternate `prev`/`out`
+    /// between consecutive rows; positions outside every window then stay
+    /// `∞` (windows only move right as `k` grows), which is exactly their
+    /// semantic value. When `out` carries a split-point row, records the
+    /// best split point per cell. Returns the per-strategy split-point
+    /// evaluation counts.
     ///
     /// Cells decompose into inter-break windows (all cells between two
     /// consecutive breaks share their `jmin` bound, their forced-split
     /// status, and a break-free candidate range), so the gap lookups are
     /// hoisted out of the cell loop and each window is minimized either
     /// by the Fig. 7 scan or by SMAWK per [`DpStrategy`].
+    ///
+    /// At `stride > 1` (an Approx probe; `prev`/`out` then carry the
+    /// lower-bracket rows) open windows solve only their grid cells over
+    /// grid candidates (see [`approx`]); stride 1 is the exact fill.
     ///
     /// `lo = 0, hi = n` is the classic whole-input DP row (Fig. 7);
     /// arbitrary subranges serve the divide-and-conquer recursion.
@@ -653,33 +913,34 @@ impl DpEngine {
     /// ahead of every window whose estimated work exceeds
     /// [`CANCEL_CHECK_MIN_WORK`] (parallel chunks poll once each); a
     /// fired token aborts the fill with [`CoreError::Cancelled`] /
-    /// [`CoreError::DeadlineExceeded`]. An aborted row leaves `cur` in an
+    /// [`CoreError::DeadlineExceeded`]. An aborted row leaves `out` in an
     /// unspecified state — callers must not read it on the error path.
     pub(crate) fn fill_row_fwd(
         &self,
         k: usize,
         lo: usize,
         hi: usize,
-        prev: &[f64],
-        cur: &mut [f64],
-        mut jrow: Option<&mut [usize]>,
+        stride: usize,
+        prev: RowIn<'_>,
+        mut out: RowOut<'_>,
     ) -> Result<Cells, CoreError> {
         debug_assert!(k >= 1 && lo <= hi && hi <= self.n);
+        debug_assert!(stride == 1 || prev.lb.is_some(), "a stride grid needs its lower bracket");
         fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
         self.cancel.check()?;
         let imax = if self.prune { self.gaps.imax_within(k, lo, hi) } else { hi };
         if lo + k > imax {
             return Ok(Cells::default());
         }
-        cur[lo + k..=imax].fill(f64::INFINITY);
+        out.reset(lo + k..=imax);
         let mut cells = Cells::default();
         if k == 1 {
-            // First row: the whole (sub)prefix merges into one tuple.
+            // First row: the whole (sub)prefix merges into one tuple —
+            // exact on both brackets, there is nothing to sparsify.
             for i in (lo + 1)..=imax {
-                cur[i] = self.cost(lo, i);
-                if let Some(jr) = jrow.as_deref_mut() {
-                    jr[i] = lo;
-                }
+                let cost = self.cost(lo, i);
+                out.put(i, cost, cost);
+                out.split(i, lo);
             }
             cells.scan += (imax - lo) as u64;
             return Ok(cells);
@@ -694,7 +955,7 @@ impl DpEngine {
                 for j in (floor..i).rev() {
                     cells.scan += 1;
                     let err2 = self.cost(j, i);
-                    let total = prev[j] + err2;
+                    let total = prev.val[j] + err2;
                     if total < best {
                         best = total;
                         best_j = j;
@@ -703,10 +964,8 @@ impl DpEngine {
                         break;
                     }
                 }
-                cur[i] = best;
-                if let Some(jr) = jrow.as_deref_mut() {
-                    jr[i] = best_j;
-                }
+                out.put(i, best, best);
+                out.split(i, best_j);
             }
             return Ok(cells);
         }
@@ -718,16 +977,15 @@ impl DpEngine {
         // pool when the row is worth fanning out, sequentially otherwise.
         // The per-cell computation is identical either way.
         let windows = self.collect_windows_fwd(k, lo, imax);
-        let work: u64 = windows.iter().map(|w| w.work(true)).sum();
+        let work: u64 = windows.iter().map(|w| w.work(true, stride)).sum();
         if self.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            cells += self.fill_windows_par(&windows, work, true, prev, cur, jrow, lo + k, imax)?;
-            return Ok(cells);
+            return self.fill_windows_par(&windows, work, true, stride, prev, out);
         }
         for w in &windows {
-            if w.work(true) >= CANCEL_CHECK_MIN_WORK {
+            if w.work(true, stride) >= CANCEL_CHECK_MIN_WORK {
                 self.cancel.check()?;
             }
-            cells += self.solve_window_fwd(w, prev, cur, jrow.as_deref_mut(), 0);
+            cells += self.solve_window_fwd(w, stride, prev, &mut out);
         }
         Ok(cells)
     }
@@ -765,23 +1023,19 @@ impl DpEngine {
                     WindowTask::Open { jbound: jmin, engine }
                 }
             };
-            windows.push(RowWindow { ws, we, task });
+            windows.push(RowWindow { ws, we, edges: (ws, we), task });
             ws = we + 1;
         }
         windows
     }
 
-    /// Solves one forward window (or chunk) into `out`: cell `i` lands at
-    /// `out[i − at]`, so the sequential path passes the whole
-    /// absolute-indexed row with `at = 0` and the parallel path passes
-    /// each job's disjoint subslice with `at = w.ws`.
+    /// Solves one forward window (or chunk) into `out`.
     fn solve_window_fwd(
         &self,
         w: &RowWindow,
-        prev: &[f64],
-        out: &mut [f64],
-        mut jout: Option<&mut [usize]>,
-        at: usize,
+        stride: usize,
+        prev: RowIn<'_>,
+        out: &mut RowOut<'_>,
     ) -> Cells {
         let mut cells = Cells::default();
         match w.task {
@@ -789,67 +1043,119 @@ impl DpEngine {
                 cells.scan += w.cells() as u64;
                 if feasible {
                     for i in w.ws..=w.we {
-                        out[i - at] = prev[g] + self.stats.range_sse(&self.weights, g..i);
-                        if let Some(jr) = jout.as_deref_mut() {
-                            jr[i - at] = g;
-                        }
+                        let err2 = self.stats.range_sse(&self.weights, g..i);
+                        out.put(i, prev.val[g] + err2, prev.lower(g) + err2);
+                        out.split(i, g);
                     }
                 }
             }
             WindowTask::Open { jbound: jmin, engine } => {
-                let mut solved = false;
                 if let Some(engine) = engine {
-                    let (evals, ok) = self.monge_window_fwd(
-                        engine,
-                        prev,
-                        out,
-                        jout.as_deref_mut(),
-                        at,
-                        w.ws,
-                        w.we,
-                        jmin,
-                    );
+                    let (evals, solved) =
+                        self.monge_window_fwd(engine, prev.val, out, w.ws, w.we, jmin);
                     cells.monge += evals;
-                    solved = ok;
-                }
-                if !solved {
-                    for i in w.ws..=w.we {
-                        let mut best = f64::INFINITY;
-                        let mut best_j = jmin;
-                        // Decreasing j: the range SSE err2 grows
-                        // monotonically, so once it alone exceeds the best
-                        // total the loop can stop (Fig. 7 line 24).
-                        for j in (jmin..i).rev() {
-                            cells.scan += 1;
-                            // j ≥ jmin guarantees the range crosses no break.
-                            let err2 = self.stats.range_sse(&self.weights, j..i);
-                            let total = prev[j] + err2;
-                            if total < best {
-                                best = total;
-                                best_j = j;
-                            }
-                            if self.early_break && err2 > best {
-                                break;
-                            }
-                        }
-                        out[i - at] = best;
-                        if let Some(jr) = jout.as_deref_mut() {
-                            jr[i - at] = best_j;
-                        }
+                    if solved {
+                        return cells;
                     }
                 }
+                cells.scan += if prev.lb.is_some() {
+                    self.scan_fwd::<true>(w, jmin, stride, prev, out)
+                } else {
+                    self.scan_fwd::<false>(w, jmin, stride, prev, out)
+                };
             }
         }
         cells
     }
 
+    /// The Fig. 7 decreasing-`j` scan over one open forward window (or
+    /// chunk) with candidate floor `jmin`; returns its evaluations.
+    ///
+    /// `BRACKET` runs an `Approx(ε > 0)` probe: only the window's grid
+    /// cells are solved, each over the grid-aligned candidates below it
+    /// and `jmin` last (at stride 1, every cell over every candidate),
+    /// and the lower bracket rides along — `lb_prev[j] + SSE(j + b −
+    /// 1..i)` per candidate, the ≤ `b − 1` points a true boundary could
+    /// sit past `j` forgiven, which is what makes `lb` sound. Its early
+    /// break fires once the lower segment SSE alone exceeds *both*
+    /// running minima — sound because both segment SSEs grow as the
+    /// split moves left and `SSE(j..i) ≥ SSE(j + b − 1..i)`. Without
+    /// `BRACKET` the loop is the exact scan and does no bracket work.
+    #[inline]
+    fn scan_fwd<const BRACKET: bool>(
+        &self,
+        w: &RowWindow,
+        jmin: usize,
+        stride: usize,
+        prev: RowIn<'_>,
+        out: &mut RowOut<'_>,
+    ) -> u64 {
+        let b = if BRACKET { stride } else { 1 };
+        let lb_prev = prev.lb.unwrap_or_default();
+        let mut evals = 0u64;
+        for i in w.ws..=w.we {
+            if BRACKET && !w.on_grid(i, b) {
+                continue;
+            }
+            let mut best = f64::INFINITY;
+            let mut lb_best = f64::INFINITY;
+            let mut best_j = jmin;
+            let mut j = if BRACKET { ((i - 1) / b * b).max(jmin) } else { i - 1 };
+            loop {
+                evals += 1;
+                // j ≥ jmin guarantees the range crosses no break.
+                let err2 = self.stats.range_sse(&self.weights, j..i);
+                let total = prev.val[j] + err2;
+                if total < best {
+                    best = total;
+                    best_j = j;
+                }
+                // Decreasing j: the range SSE grows monotonically, so
+                // once it alone exceeds the best total the loop can stop
+                // (Fig. 7 line 24).
+                let past_best = if BRACKET {
+                    let low = if b == 1 {
+                        err2
+                    } else {
+                        evals += 1;
+                        self.stats.range_sse(&self.weights, (j + b - 1).min(i)..i)
+                    };
+                    let lb_total = lb_prev[j] + low;
+                    if lb_total < lb_best {
+                        lb_best = lb_total;
+                    }
+                    low > best && low > lb_best
+                } else {
+                    err2 > best
+                };
+                if self.early_break && past_best || j == jmin {
+                    break;
+                }
+                j = if BRACKET && j < jmin + b { jmin } else { j - b };
+            }
+            if BRACKET {
+                out.put(i, best, lb_best);
+            } else {
+                out.val[i - out.at] = best;
+            }
+            out.split(i, best_j);
+        }
+        evals
+    }
+
     /// Refines a row's windows into parallel chunks: scan windows above
     /// the per-chunk work target split into cell ranges — each chunk
-    /// keeps its window's candidate bound, so the per-cell scans are
-    /// exactly the sequential ones — while forced and Monge windows stay
-    /// whole (SMAWK is sequential per window). Chunk work is balanced by
-    /// the same estimate the fan-out gate uses.
-    fn chunk_windows(&self, windows: &[RowWindow], work: u64, fwd: bool) -> Vec<RowWindow> {
+    /// keeps its window's candidate bound and edges, so the per-cell
+    /// scans are exactly the sequential ones — while forced and Monge
+    /// windows stay whole (SMAWK is sequential per window). Chunk work is
+    /// balanced by the same estimate the fan-out gate uses.
+    fn chunk_windows(
+        &self,
+        windows: &[RowWindow],
+        work: u64,
+        fwd: bool,
+        stride: usize,
+    ) -> Vec<RowWindow> {
         let target = (work / (self.pool.threads() as u64 * PAR_CHUNKS_PER_WORKER)).max(1);
         let mut chunks = Vec::new();
         for w in windows {
@@ -857,77 +1163,62 @@ impl DpEngine {
                 chunks.push(*w);
                 continue;
             };
-            if w.work(fwd) <= target || w.cells() < 2 * PAR_MIN_CHUNK_CELLS {
+            if w.work(fwd, stride) <= target || w.cells() < 2 * PAR_MIN_CHUNK_CELLS {
                 chunks.push(*w);
                 continue;
             }
             let mut cs = w.ws;
             let mut acc = 0u64;
             for i in w.ws..=w.we {
-                acc += if fwd { (i - jbound) as u64 } else { (jbound - i) as u64 };
+                let span = if fwd { i - jbound } else { jbound - i };
+                acc += grid_work(span as u64, stride);
                 if acc >= target && i < w.we && i + 1 - cs >= PAR_MIN_CHUNK_CELLS {
-                    chunks.push(RowWindow { ws: cs, we: i, task: w.task });
+                    chunks.push(RowWindow { ws: cs, we: i, ..*w });
                     cs = i + 1;
                     acc = 0;
                 }
             }
-            chunks.push(RowWindow { ws: cs, we: w.we, task: w.task });
+            chunks.push(RowWindow { ws: cs, ..*w });
         }
         chunks
     }
 
     /// Fans one row's windows out across the pool: chunks the windows,
-    /// tiles the row region `cur[first..=last]` (and `jrow`) into
-    /// disjoint per-chunk slices in window order, and solves every chunk
-    /// with the same per-cell code the sequential path runs. Results are
-    /// bit-identical to the sequential fill — chunks never share cells,
-    /// and each cell's scan state (`best`, `best_j`, early break) is
-    /// local to the cell — and the evaluation counters are summed in
-    /// window order, so [`DpStats`] is deterministic too.
+    /// tiles the row region they cover (value, bracket and split rows)
+    /// into disjoint per-chunk outputs in window order, and solves every
+    /// chunk with the same per-cell code the sequential path runs.
+    /// Results are bit-identical to the sequential fill — chunks never
+    /// share cells, and each cell's scan state (`best`, `best_j`, early
+    /// break) is local to the cell — and the evaluation counters are
+    /// summed in window order, so [`DpStats`] is deterministic too.
     ///
     /// Each chunk polls the cancel token before solving; the first error
     /// in window order wins (remaining chunks still run — the pool has no
     /// early stop — but their output is discarded with the row).
-    #[allow(clippy::too_many_arguments)]
     fn fill_windows_par(
         &self,
         windows: &[RowWindow],
         work: u64,
         fwd: bool,
-        prev: &[f64],
-        cur: &mut [f64],
-        jrow: Option<&mut [usize]>,
-        first: usize,
-        last: usize,
+        stride: usize,
+        prev: RowIn<'_>,
+        mut out: RowOut<'_>,
     ) -> Result<Cells, CoreError> {
-        let chunks = self.chunk_windows(windows, work, fwd);
-        let mut jobs: Vec<RowJob<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f64] = &mut cur[first..=last];
-        let mut jtail: Option<&mut [usize]> = match jrow {
-            Some(j) => Some(&mut j[first..=last]),
-            None => None,
-        };
-        for w in chunks {
-            let (head, rest) = std::mem::take(&mut tail).split_at_mut(w.cells());
-            tail = rest;
-            let jhead = match jtail.take() {
-                Some(j) => {
-                    let (jh, jr) = j.split_at_mut(w.cells());
-                    jtail = Some(jr);
-                    Some(jh)
-                }
-                None => None,
-            };
-            jobs.push((w, head, jhead));
-        }
-        debug_assert!(tail.is_empty(), "chunks must tile the row region exactly");
-        let results: Vec<Result<Cells, CoreError>> = self.pool.map(jobs, |(w, out, jout)| {
+        let chunks = self.chunk_windows(windows, work, fwd, stride);
+        // Skip the cells before the row's first window.
+        out.take_front(chunks.first().map_or(0, |w| w.ws) - out.at);
+        let jobs: Vec<_> = chunks.into_iter().map(|w| (w, out.take_front(w.cells()))).collect();
+        debug_assert_eq!(
+            Some(out.at),
+            windows.last().map(|w| w.we + 1),
+            "chunks must tile the row region exactly"
+        );
+        let results: Vec<Result<Cells, CoreError>> = self.pool.map(jobs, |(w, mut out)| {
             self.cancel.check()?;
             Ok(if fwd {
-                self.solve_window_fwd(&w, prev, out, jout, w.ws)
+                self.solve_window_fwd(&w, stride, prev, &mut out)
             } else {
-                debug_assert!(jout.is_none(), "backward rows record no split points");
-                self.solve_window_bwd(&w, prev, out, w.ws)
+                self.solve_window_bwd(&w, stride, prev, &mut out)
             })
         });
         let mut cells = Cells::default();
@@ -947,16 +1238,12 @@ impl DpEngine {
     /// count and whether the window was solved — `false` (nothing
     /// written, caller must scan) when a pad won a row, which only
     /// happens if a real cost reached the pad range (astronomical data
-    /// magnitudes or a non-finite `prev`). Cell `i` writes `out[i − at]`
-    /// (see [`DpEngine::solve_window_fwd`]).
-    #[allow(clippy::too_many_arguments)]
+    /// magnitudes or a non-finite `prev`).
     fn monge_window_fwd(
         &self,
         engine: RowMinEngine,
         prev: &[f64],
-        out: &mut [f64],
-        mut jrow: Option<&mut [usize]>,
-        at: usize,
+        out: &mut RowOut<'_>,
         ws: usize,
         we: usize,
         jmin: usize,
@@ -999,24 +1286,23 @@ impl DpEngine {
             return (minima.evals, false);
         }
         for (r, i) in (ws..=we).enumerate() {
-            out[i - at] = minima.values[r];
-            if let Some(jr) = jrow.as_deref_mut() {
-                jr[i - at] = minima.argmins[r];
-            }
+            out.put(i, minima.values[r], minima.values[r]);
+            out.split(i, minima.argmins[r]);
         }
         (minima.evals, true)
     }
 
     /// Mirror image of [`DpEngine::fill_row_fwd`]: fills *suffix*-DP row
-    /// `k`. For every prefix length `i` in `lo ..= hi − k`, `cur[i]`
+    /// `k`. For every prefix length `i` in `lo ..= hi − k`, `out` cell `i`
     /// becomes the smallest SSE of reducing tuples `i..hi` to `k` tuples,
     /// reading row `k − 1` from `prev`. All §5.3 accelerations apply in
     /// mirrored form: `imin`/`jmax` gap bounds, the pinned cut when the
     /// suffix holds exactly `k − 1` internal breaks, and the increasing-`j`
     /// early break (the head-range SSE grows monotonically with `j`).
-    /// Inter-break windows and the [`DpStrategy`] dispatch mirror the
-    /// forward fill too; ties prefer the *smallest* `j`, matching the
-    /// increasing-`j` scan.
+    /// Inter-break windows, the [`DpStrategy`] dispatch and the stride
+    /// grid mirror the forward fill too; ties prefer the *smallest* `j`,
+    /// matching the increasing-`j` scan. Backward rows never record split
+    /// points.
     ///
     /// The divide-and-conquer backtracking pairs this with the forward
     /// fill to locate optimal midpoints without a split-point table.
@@ -1025,37 +1311,37 @@ impl DpEngine {
         k: usize,
         lo: usize,
         hi: usize,
-        prev: &[f64],
-        cur: &mut [f64],
+        stride: usize,
+        prev: RowIn<'_>,
+        mut out: RowOut<'_>,
     ) -> Result<Cells, CoreError> {
         debug_assert!(k >= 1 && lo <= hi && hi <= self.n && hi - lo >= k);
+        debug_assert!(stride == 1 || prev.lb.is_some(), "a stride grid needs its lower bracket");
+        debug_assert!(out.splits.is_none(), "backward rows record no split points");
         fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
         self.cancel.check()?;
         let imin = if self.prune { self.gaps.imin_within(k, lo, hi) } else { lo };
         if imin > hi - k {
             return Ok(Cells::default());
         }
-        cur[imin..=(hi - k)].fill(f64::INFINITY);
+        out.reset(imin..=(hi - k));
         let mut cells = Cells::default();
         if k == 1 {
-            // Index loop mirrors the forward fill cell-for-cell.
-            #[allow(clippy::needless_range_loop)]
             for i in imin..=(hi - 1) {
-                cur[i] = self.cost(i, hi);
+                let cost = self.cost(i, hi);
+                out.put(i, cost, cost);
             }
             cells.scan += (hi - imin) as u64;
             return Ok(cells);
         }
         let ceil = hi - (k - 1);
         if !self.prune {
-            // Index loops mirror the forward fill cell-for-cell.
-            #[allow(clippy::needless_range_loop)]
             for i in imin..=(hi - k) {
                 let mut best = f64::INFINITY;
                 for j in (i + 1)..=ceil {
                     cells.scan += 1;
                     let err2 = self.cost(i, j);
-                    let total = err2 + prev[j];
+                    let total = err2 + prev.val[j];
                     if total < best {
                         best = total;
                     }
@@ -1063,7 +1349,7 @@ impl DpEngine {
                         break;
                     }
                 }
-                cur[i] = best;
+                out.put(i, best, best);
             }
             return Ok(cells);
         }
@@ -1074,16 +1360,15 @@ impl DpEngine {
         // solve them like the forward fill: on the pool when the row is
         // worth fanning out, sequentially otherwise.
         let windows = self.collect_windows_bwd(k, hi, imin);
-        let work: u64 = windows.iter().map(|w| w.work(false)).sum();
+        let work: u64 = windows.iter().map(|w| w.work(false, stride)).sum();
         if self.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            cells += self.fill_windows_par(&windows, work, false, prev, cur, None, imin, hi - k)?;
-            return Ok(cells);
+            return self.fill_windows_par(&windows, work, false, stride, prev, out);
         }
         for w in &windows {
-            if w.work(false) >= CANCEL_CHECK_MIN_WORK {
+            if w.work(false, stride) >= CANCEL_CHECK_MIN_WORK {
                 self.cancel.check()?;
             }
-            cells += self.solve_window_bwd(w, prev, cur, 0);
+            cells += self.solve_window_bwd(w, stride, prev, &mut out);
         }
         Ok(cells)
     }
@@ -1119,70 +1404,121 @@ impl DpEngine {
                     WindowTask::Open { jbound: jmax, engine }
                 }
             };
-            windows.push(RowWindow { ws, we, task });
+            windows.push(RowWindow { ws, we, edges: (ws, we), task });
             ws = we + 1;
         }
         windows
     }
 
-    /// Backward counterpart of [`DpEngine::solve_window_fwd`]: solves one
-    /// mirrored window (or chunk) into `out` at offset `at`. Backward
-    /// rows never record split points.
-    fn solve_window_bwd(&self, w: &RowWindow, prev: &[f64], out: &mut [f64], at: usize) -> Cells {
+    /// Backward counterpart of [`DpEngine::solve_window_fwd`].
+    fn solve_window_bwd(
+        &self,
+        w: &RowWindow,
+        stride: usize,
+        prev: RowIn<'_>,
+        out: &mut RowOut<'_>,
+    ) -> Cells {
         let mut cells = Cells::default();
         match w.task {
             WindowTask::Forced { g, feasible } => {
                 cells.scan += w.cells() as u64;
                 if feasible {
                     for i in w.ws..=w.we {
-                        out[i - at] = self.stats.range_sse(&self.weights, i..g) + prev[g];
+                        let err2 = self.stats.range_sse(&self.weights, i..g);
+                        out.put(i, err2 + prev.val[g], err2 + prev.lower(g));
                     }
                 }
             }
             WindowTask::Open { jbound: jmax, engine } => {
-                let mut solved = false;
                 if let Some(engine) = engine {
-                    let (evals, ok) =
-                        self.monge_window_bwd(engine, prev, out, at, w.ws, w.we, jmax);
+                    let (evals, solved) =
+                        self.monge_window_bwd(engine, prev.val, out, w.ws, w.we, jmax);
                     cells.monge += evals;
-                    solved = ok;
-                }
-                if !solved {
-                    for i in w.ws..=w.we {
-                        let mut best = f64::INFINITY;
-                        // Index loop mirrors the forward fill cell-for-cell.
-                        #[allow(clippy::needless_range_loop)]
-                        for j in (i + 1)..=jmax {
-                            cells.scan += 1;
-                            // j ≤ jmax guarantees the range crosses no break.
-                            let err2 = self.stats.range_sse(&self.weights, i..j);
-                            let total = err2 + prev[j];
-                            if total < best {
-                                best = total;
-                            }
-                            if self.early_break && err2 > best {
-                                break;
-                            }
-                        }
-                        out[i - at] = best;
+                    if solved {
+                        return cells;
                     }
                 }
+                cells.scan += if prev.lb.is_some() {
+                    self.scan_bwd::<true>(w, jmax, stride, prev, out)
+                } else {
+                    self.scan_bwd::<false>(w, jmax, stride, prev, out)
+                };
             }
         }
         cells
     }
 
+    /// Backward counterpart of [`DpEngine::scan_fwd`]: candidates are
+    /// visited in increasing split order — grid-aligned positions above
+    /// `i`, then `jmax` last — mirroring the exact suffix scan. The lower
+    /// bracket forgives the ≤ `b − 1` points a true boundary could sit
+    /// *before* the snapped candidate: `SSE(i..j − b + 1)` with the left
+    /// end clamped to `i`.
+    #[inline]
+    fn scan_bwd<const BRACKET: bool>(
+        &self,
+        w: &RowWindow,
+        jmax: usize,
+        stride: usize,
+        prev: RowIn<'_>,
+        out: &mut RowOut<'_>,
+    ) -> u64 {
+        let b = if BRACKET { stride } else { 1 };
+        let lb_prev = prev.lb.unwrap_or_default();
+        let mut evals = 0u64;
+        for i in w.ws..=w.we {
+            if BRACKET && !w.on_grid(i, b) {
+                continue;
+            }
+            let mut best = f64::INFINITY;
+            let mut lb_best = f64::INFINITY;
+            let mut j = if BRACKET { ((i / b + 1) * b).min(jmax) } else { i + 1 };
+            loop {
+                evals += 1;
+                // j ≤ jmax guarantees the range crosses no break.
+                let err2 = self.stats.range_sse(&self.weights, i..j);
+                let total = err2 + prev.val[j];
+                if total < best {
+                    best = total;
+                }
+                let past_best = if BRACKET {
+                    let low = if b == 1 {
+                        err2
+                    } else {
+                        evals += 1;
+                        self.stats.range_sse(&self.weights, i..(j + 1).saturating_sub(b).max(i))
+                    };
+                    let lb_total = low + lb_prev[j];
+                    if lb_total < lb_best {
+                        lb_best = lb_total;
+                    }
+                    low > best && low > lb_best
+                } else {
+                    err2 > best
+                };
+                if self.early_break && past_best || j == jmax {
+                    break;
+                }
+                j = if BRACKET && j + b > jmax { jmax } else { j + b };
+            }
+            if BRACKET {
+                out.put(i, best, lb_best);
+            } else {
+                out.val[i - out.at] = best;
+            }
+        }
+        evals
+    }
+
     /// Backward counterpart of [`DpEngine::monge_window_fwd`]: cells
     /// `[ws, we]`, candidate columns `[ws + 1, jmax]`, invalid `j ≤ i`
     /// cells padded; ties prefer the smallest `j`. Same pad-won-a-row
-    /// fallback contract; cell `i` writes `out[i − at]`.
-    #[allow(clippy::too_many_arguments)]
+    /// fallback contract.
     fn monge_window_bwd(
         &self,
         engine: RowMinEngine,
         prev: &[f64],
-        out: &mut [f64],
-        at: usize,
+        out: &mut RowOut<'_>,
         ws: usize,
         we: usize,
         jmax: usize,
@@ -1217,9 +1553,43 @@ impl DpEngine {
             return (minima.evals, false);
         }
         for (r, i) in (ws..=we).enumerate() {
-            out[i - at] = minima.values[r];
+            out.put(i, minima.values[r], minima.values[r]);
         }
         (minima.evals, true)
+    }
+
+    /// Fills forward row `k` of `rows` at `stride`, recording split
+    /// points into `splits` when given, and makes it the row to read
+    /// next.
+    pub(crate) fn step_fwd(
+        &self,
+        k: usize,
+        lo: usize,
+        hi: usize,
+        stride: usize,
+        rows: &mut Rows,
+        splits: Option<&mut [usize]>,
+    ) -> Result<Cells, CoreError> {
+        let (prev, out) = rows.io(splits);
+        let cells = self.fill_row_fwd(k, lo, hi, stride, prev, out)?;
+        rows.swap();
+        Ok(cells)
+    }
+
+    /// Fills backward row `k` of `rows` at `stride` and makes it the row
+    /// to read next.
+    fn step_bwd(
+        &self,
+        k: usize,
+        lo: usize,
+        hi: usize,
+        stride: usize,
+        rows: &mut Rows,
+    ) -> Result<Cells, CoreError> {
+        let (prev, out) = rows.io(None);
+        let cells = self.fill_row_bwd(k, lo, hi, stride, prev, out)?;
+        rows.swap();
+        Ok(cells)
     }
 
     /// Reconstructs the partition boundaries from the split-point matrix:
@@ -1241,113 +1611,139 @@ impl DpEngine {
         bounds
     }
 
-    /// Recovers the optimal partition of the whole input into `c` pieces
-    /// with `O(n)` memory: Hirschberg-style divide-and-conquer
-    /// backtracking over [`DpEngine::fill_row_fwd`] /
-    /// [`DpEngine::fill_row_bwd`]. Requires `1 ≤ c ≤ n` and a feasible
-    /// reduction (`c ≥ cmin`), which the public entry points establish.
-    pub(crate) fn dnc_boundaries(&self, c: usize) -> Result<DncOutcome, CoreError> {
+    /// Recovers a partition of the whole input into `c` pieces with
+    /// `O(n)` memory: Hirschberg-style divide-and-conquer backtracking
+    /// over [`DpEngine::fill_row_fwd`] / [`DpEngine::fill_row_bwd`] at
+    /// `stride`, with `fwd` and `bwd` as the scratch rows of every node.
+    /// At stride 1 the partition is optimal; on an Approx probe the root
+    /// node's lower bound certifies it. Work accumulates into `cells` and
+    /// `rows`, so an abort leaves honest partial counters behind.
+    /// Requires `1 ≤ c ≤ n` and a feasible reduction (`c ≥ cmin`), which
+    /// the public entry points establish.
+    pub(crate) fn dnc_boundaries(
+        &self,
+        stride: usize,
+        c: usize,
+        fwd: &mut Rows,
+        bwd: &mut Rows,
+        cells: &mut Cells,
+        rows: &mut usize,
+    ) -> Result<Partition, CoreError> {
         debug_assert!(c >= 1 && c <= self.n);
-        let width = self.n + 1;
-        let mut scratch = DncScratch {
-            fwd_prev: vec![f64::INFINITY; width],
-            fwd_cur: vec![f64::INFINITY; width],
-            bwd_prev: vec![f64::INFINITY; width],
-            bwd_cur: vec![f64::INFINITY; width],
-        };
-        let mut boundaries = Vec::with_capacity(c + 1);
-        boundaries.push(0);
-        let mut cells = Cells::default();
-        let mut rows = 0usize;
-        let optimal_sse = self
-            .dnc_rec(0, self.n, c, &mut boundaries, &mut scratch, &mut cells, &mut rows)
-            .map_err(|e| {
-                // The recursion's accumulators survive the abort — stamp
-                // them so callers see how far the run got.
-                e.with_dp_progress(DpStats {
-                    rows,
-                    cells: cells.total(),
-                    scan_cells: cells.scan,
-                    monge_cells: cells.monge,
-                    peak_rows: 4,
-                    mode: DpExecMode::DivideConquer,
-                    strategy: self.strategy,
-                    threads: self.pool.threads(),
-                    certified_ratio: 1.0,
-                })
-            })?;
+        let mut cuts = Vec::with_capacity(c + 1);
+        cuts.push(0);
+        let mut d = Dnc { stride, fwd, bwd, cuts, cells, rows };
+        let (value, lower) = self.dnc_rec(&mut d, 0, self.n, c)?;
+        let mut boundaries = d.cuts;
         boundaries.push(self.n);
         debug_assert_eq!(boundaries.len(), c + 1);
-        Ok(DncOutcome { boundaries, cells, rows, optimal_sse })
+        Ok(Partition { boundaries, value, lower })
     }
 
-    /// Appends the internal cut positions of the optimal `c`-piece
-    /// partition of tuples `lo..hi` to `cuts` (in increasing order) and
-    /// returns that partition's SSE.
-    #[allow(clippy::too_many_arguments)]
-    // pta-lint: allow(cancel-coverage) — every row fill in the recursion
-    // polls the token inside fill_row_fwd/fill_row_bwd.
+    /// Appends the internal cut positions of a `c`-piece partition of
+    /// tuples `lo..hi` to `d.cuts` (in increasing order) and returns the
+    /// node's value and lower bound. Only the *root's* lower bound
+    /// certifies an Approx probe: children run over fixed midpoints,
+    /// whose degradation the a posteriori ratio test catches.
     fn dnc_rec(
         &self,
+        d: &mut Dnc<'_>,
         lo: usize,
         hi: usize,
         c: usize,
-        cuts: &mut Vec<usize>,
-        scratch: &mut DncScratch,
-        cells: &mut Cells,
-        rows: &mut usize,
-    ) -> Result<f64, CoreError> {
+    ) -> Result<(f64, f64), CoreError> {
         debug_assert!(c >= 1 && hi - lo >= c);
         if c == 1 {
-            return Ok(self.cost(lo, hi));
+            let cost = self.cost(lo, hi);
+            return Ok((cost, cost));
         }
         if hi - lo == c {
             // Every tuple its own piece: all cuts are forced, SSE 0.
-            cuts.extend(lo + 1..hi);
-            return Ok(0.0);
+            d.cuts.extend(lo + 1..hi);
+            return Ok((0.0, 0.0));
         }
         let k_left = c / 2;
         let k_right = c - k_left;
+        let stride = d.stride;
+        let (mut best, mut lower, mut mid) = self.dnc_node(d, stride, lo, hi, k_left, k_right)?;
+        if !best.is_finite() && stride > 1 {
+            // Deep nodes can have a feasible midpoint range narrower
+            // than one stride with no grid point or shared window edge
+            // inside it; redo just this node's rows exactly — the
+            // children still recurse at the probe's stride.
+            (best, lower, mid) = self.dnc_node(d, 1, lo, hi, k_left, k_right)?;
+        }
+        debug_assert!(best.is_finite(), "feasible subproblem must yield a finite midpoint");
+        // The children overwrite the scratch rows; the parent only needs
+        // `mid` from here on, so peak memory stays at the scratch rows.
+        self.dnc_rec(d, lo, mid, k_left)?;
+        d.cuts.push(mid);
+        self.dnc_rec(d, mid, hi, k_right)?;
+        Ok((best, lower))
+    }
+
+    /// One divide-and-conquer node: forward DP to row `k_left` and suffix
+    /// DP to row `k_right` over `[lo, hi]` at `stride`, then the midpoint
+    /// `m` minimizing `F[k_left][m] + B[k_right][m]` — the optimal
+    /// partition cuts after its `k_left`-th piece there — together with
+    /// that sum and, on bracketed rows, the node's lower bound
+    /// `min_i (F_lb[i] + B_lb[i])`.
+    // pta-lint: allow(cancel-coverage) — each row fill below polls the
+    // token inside fill_row_fwd/fill_row_bwd.
+    fn dnc_node(
+        &self,
+        d: &mut Dnc<'_>,
+        stride: usize,
+        lo: usize,
+        hi: usize,
+        k_left: usize,
+        k_right: usize,
+    ) -> Result<(f64, f64, usize), CoreError> {
         // A previous node left stale values in the scratch rows; reset the
         // window once per node, then the row fills reset only their own
         // (shrinking) windows.
-        scratch.fwd_prev[lo..=hi].fill(f64::INFINITY);
-        scratch.fwd_cur[lo..=hi].fill(f64::INFINITY);
-        scratch.bwd_prev[lo..=hi].fill(f64::INFINITY);
-        scratch.bwd_cur[lo..=hi].fill(f64::INFINITY);
-        // Forward DP to row k_left over [lo, hi]; fwd_prev ends holding
-        // F[k_left][·] = optimal SSE of `lo..i` in k_left pieces.
+        d.fwd.reset(lo..=hi);
+        d.bwd.reset(lo..=hi);
         for k in 1..=k_left {
-            *cells +=
-                self.fill_row_fwd(k, lo, hi, &scratch.fwd_prev, &mut scratch.fwd_cur, None)?;
-            std::mem::swap(&mut scratch.fwd_prev, &mut scratch.fwd_cur);
+            *d.cells += self.step_fwd(k, lo, hi, stride, d.fwd, None)?;
         }
-        // Suffix DP to row k_right; bwd_prev ends holding
-        // B[k_right][·] = optimal SSE of `i..hi` in k_right pieces.
         for k in 1..=k_right {
-            *cells += self.fill_row_bwd(k, lo, hi, &scratch.bwd_prev, &mut scratch.bwd_cur)?;
-            std::mem::swap(&mut scratch.bwd_prev, &mut scratch.bwd_cur);
+            *d.cells += self.step_bwd(k, lo, hi, stride, d.bwd)?;
         }
-        *rows += c;
-        // The optimal partition cuts after its k_left-th piece at the
-        // midpoint minimizing F + B.
+        *d.rows += k_left + k_right;
+        let bracket = d.fwd.lb.is_some();
         let mut best = f64::INFINITY;
+        let mut lower = f64::INFINITY;
         let mut mid = 0usize;
         for i in (lo + k_left)..=(hi - k_right) {
-            let total = scratch.fwd_prev[i] + scratch.bwd_prev[i];
+            let total = d.fwd.value(i) + d.bwd.value(i);
             if total < best {
                 best = total;
                 mid = i;
             }
+            if bracket {
+                let low = d.fwd.lower(i) + d.bwd.lower(i);
+                if low < lower {
+                    lower = low;
+                }
+            }
         }
-        debug_assert!(best.is_finite(), "feasible subproblem must yield a finite midpoint");
-        // The children overwrite the scratch rows; the parent only needs
-        // `mid` from here on, so peak memory stays at four rows.
-        self.dnc_rec(lo, mid, k_left, cuts, scratch, cells, rows)?;
-        cuts.push(mid);
-        self.dnc_rec(mid, hi, k_right, cuts, scratch, cells, rows)?;
-        Ok(best)
+        Ok((best, if bracket { lower } else { best }, mid))
     }
+}
+
+/// What the divide-and-conquer recursion threads through its nodes: the
+/// probe's stride, the forward and backward scratch rows every node
+/// reuses (four `(n + 1)`-entry rows, eight on an Approx probe — the
+/// entire extra memory of the mode), the cuts found so far, and the work
+/// counters.
+struct Dnc<'a> {
+    stride: usize,
+    fwd: &'a mut Rows,
+    bwd: &'a mut Rows,
+    cuts: Vec<usize>,
+    cells: &'a mut Cells,
+    rows: &'a mut usize,
 }
 
 /// Support for the `dp_row` microbenchmark: a single forward row fill
@@ -1414,23 +1810,28 @@ pub mod bench_support {
         // pta-lint: allow(cancel-coverage) — bench harness: the engine's
         // token is inert by construction, rows are filled uncancellably.
         pub fn row(&self, k: usize) -> Vec<f64> {
-            let mut prev = vec![f64::INFINITY; self.width()];
-            let mut cur = vec![f64::INFINITY; self.width()];
+            let mut rows = self.engine.rows();
             for kk in 1..=k {
                 self.engine
-                    .fill_row_fwd(kk, 0, self.engine.n, &prev, &mut cur, None)
+                    .step_fwd(kk, 0, self.engine.n, 1, &mut rows, None)
                     // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                     .expect("bench harness tokens never fire");
-                std::mem::swap(&mut prev, &mut cur);
             }
-            prev
+            rows.prev
         }
 
         /// Fills row `k` reading row `k − 1` from `prev`; returns the
         /// split-point evaluation count.
         pub fn fill(&self, k: usize, prev: &[f64], cur: &mut [f64]) -> u64 {
             self.engine
-                .fill_row_fwd(k, 0, self.engine.n, prev, cur, None)
+                .fill_row_fwd(
+                    k,
+                    0,
+                    self.engine.n,
+                    1,
+                    RowIn::values(prev),
+                    RowOut::values(cur, None),
+                )
                 // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                 .expect("bench harness tokens never fire")
                 .total()
@@ -1492,6 +1893,29 @@ pub(crate) mod tests {
         b.build()
     }
 
+    /// One exact forward row fill of the whole input over plain slices.
+    fn fill_fwd(
+        e: &DpEngine,
+        k: usize,
+        prev: &[f64],
+        cur: &mut [f64],
+        splits: Option<&mut [usize]>,
+    ) -> Cells {
+        e.fill_row_fwd(k, 0, e.n, 1, RowIn::values(prev), RowOut::values(cur, splits)).unwrap()
+    }
+
+    /// One exact suffix row fill of the whole input over plain slices.
+    fn fill_bwd(e: &DpEngine, k: usize, prev: &[f64], cur: &mut [f64]) -> Cells {
+        e.fill_row_bwd(k, 0, e.n, 1, RowIn::values(prev), RowOut::values(cur, None)).unwrap()
+    }
+
+    /// The exact divide-and-conquer partition into `c` pieces.
+    fn dnc_partition(e: &DpEngine, c: usize) -> Partition {
+        let (mut fwd, mut bwd) = (e.rows(), e.rows());
+        let (mut cells, mut rows) = (Cells::default(), 0);
+        e.dnc_boundaries(1, c, &mut fwd, &mut bwd, &mut cells, &mut rows).unwrap()
+    }
+
     fn engine_with(input: &SequentialRelation, prune: bool, strategy: DpStrategy) -> DpEngine {
         let w = Weights::uniform(input.dims());
         DpEngine::new_full(input, &w, prune, GapPolicy::Strict, true, strategy, 1).unwrap()
@@ -1511,7 +1935,7 @@ pub(crate) mod tests {
         let mut rows = Vec::new();
         for k in 1..=kmax {
             let mut cur = vec![f64::INFINITY; n + 1];
-            engine.fill_row_fwd(k, 0, n, &prev, &mut cur, None).unwrap();
+            fill_fwd(&engine, k, &prev, &mut cur, None);
             rows.push(cur.clone());
             prev = cur;
         }
@@ -1536,7 +1960,7 @@ pub(crate) mod tests {
         let mut rows = Vec::new();
         for k in 1..=kmax {
             let mut cur = vec![f64::INFINITY; n + 1];
-            engine.fill_row_bwd(k, 0, n, &prev, &mut cur).unwrap();
+            fill_bwd(&engine, k, &prev, &mut cur);
             rows.push(cur.clone());
             prev = cur;
         }
@@ -1647,8 +2071,8 @@ pub(crate) mod tests {
         let mut cur_s = vec![f64::INFINITY; width];
         let mut cur_m = vec![f64::INFINITY; width];
         for k in 1..=12 {
-            let s = scan.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, None).unwrap();
-            let m = monge.fill_row_fwd(k, 0, n, &prev_m, &mut cur_m, None).unwrap();
+            let s = fill_fwd(&scan, k, &prev_s, &mut cur_s, None);
+            let m = fill_fwd(&monge, k, &prev_m, &mut cur_m, None);
             assert_eq!(m.monge, 0, "row {k}: no certificate, no Monge evals");
             assert_eq!(m, s, "row {k}: identical work");
             for i in 0..=n {
@@ -1681,8 +2105,8 @@ pub(crate) mod tests {
         let mut cur_s = vec![f64::INFINITY; width];
         let mut cur_m = vec![f64::INFINITY; width];
         for k in 1..=10 {
-            let s = scan.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, None).unwrap();
-            let m = monge.fill_row_fwd(k, 0, n, &prev_m, &mut cur_m, None).unwrap();
+            let s = fill_fwd(&scan, k, &prev_s, &mut cur_s, None);
+            let m = fill_fwd(&monge, k, &prev_m, &mut cur_m, None);
             assert_eq!(m.monge, 0, "row {k}: magnitude certificate must reject the window");
             assert_eq!(m.scan, s.scan, "row {k}");
             for i in 0..=n {
@@ -1734,8 +2158,8 @@ pub(crate) mod tests {
             for k in 1..=20 {
                 let mut js = vec![0usize; width];
                 let mut jo = vec![0usize; width];
-                scan.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, Some(&mut js)).unwrap();
-                other.fill_row_fwd(k, 0, n, &prev_o, &mut cur_o, Some(&mut jo)).unwrap();
+                fill_fwd(&scan, k, &prev_s, &mut cur_s, Some(&mut js));
+                fill_fwd(&other, k, &prev_o, &mut cur_o, Some(&mut jo));
                 for i in (k)..=n {
                     if cur_s[i].is_finite() {
                         assert_eq!(js[i], jo[i], "row {k} cell {i} ({strategy:?})");
@@ -1797,26 +2221,18 @@ pub(crate) mod tests {
                     prev[0] = 0.0;
                     let mut cur = vec![f64::INFINITY; width];
                     for k in 1..=c {
-                        engine
-                            .fill_row_fwd(
-                                k,
-                                0,
-                                n,
-                                &prev,
-                                &mut cur,
-                                Some(&mut jm[(k - 1) * width..k * width]),
-                            )
-                            .unwrap();
+                        let splits = &mut jm[(k - 1) * width..k * width];
+                        fill_fwd(&engine, k, &prev, &mut cur, Some(splits));
                         std::mem::swap(&mut prev, &mut cur);
                         cur.fill(f64::INFINITY);
                     }
                     let table = engine.backtrack(&jm, c);
-                    let dnc = engine.dnc_boundaries(c).unwrap();
+                    let dnc = dnc_partition(&engine, c);
                     assert_eq!(table, dnc.boundaries, "c = {c} (prune={prune}, {strategy:?})");
                     assert!(
-                        (dnc.optimal_sse - prev[n]).abs() <= 1e-9 * (1.0 + prev[n]),
+                        (dnc.value - prev[n]).abs() <= 1e-9 * (1.0 + prev[n]),
                         "c = {c}: dnc optimum {} vs table optimum {}",
-                        dnc.optimal_sse,
+                        dnc.value,
                         prev[n]
                     );
                 }
@@ -1880,11 +2296,11 @@ pub(crate) mod tests {
         let mut prev = vec![f64::INFINITY; width];
         let mut cur = vec![f64::INFINITY; width];
         // Row 2 read from the genuine row 1.
-        scan.fill_row_fwd(1, 0, n, &prev, &mut cur, None).unwrap();
+        fill_fwd(&scan, 1, &prev, &mut cur, None);
         std::mem::swap(&mut prev, &mut cur);
-        let s = scan.fill_row_fwd(2, 0, n, &prev, &mut cur, None).unwrap();
+        let s = fill_fwd(&scan, 2, &prev, &mut cur, None);
         let mut cur2 = vec![f64::INFINITY; width];
-        let m = monge.fill_row_fwd(2, 0, n, &prev, &mut cur2, None).unwrap();
+        let m = fill_fwd(&monge, 2, &prev, &mut cur2, None);
         assert_eq!(s.monge, 0);
         assert_eq!(m.scan, 0);
         assert!(
@@ -1931,8 +2347,8 @@ pub(crate) mod tests {
             for k in 1..=12 {
                 let mut js = vec![0usize; width];
                 let mut jp = vec![0usize; width];
-                let s = seq.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, Some(&mut js)).unwrap();
-                let p = par.fill_row_fwd(k, 0, n, &prev_p, &mut cur_p, Some(&mut jp)).unwrap();
+                let s = fill_fwd(&seq, k, &prev_s, &mut cur_s, Some(&mut js));
+                let p = fill_fwd(&par, k, &prev_p, &mut cur_p, Some(&mut jp));
                 assert_eq!(s, p, "row {k}: identical counters");
                 for i in 0..=n {
                     assert_eq!(cur_s[i].to_bits(), cur_p[i].to_bits(), "row {k} cell {i}");
@@ -1946,8 +2362,8 @@ pub(crate) mod tests {
             let mut cur_s = vec![f64::INFINITY; width];
             let mut cur_p = vec![f64::INFINITY; width];
             for k in 1..=12 {
-                let s = seq.fill_row_bwd(k, 0, n, &prev_s, &mut cur_s).unwrap();
-                let p = par.fill_row_bwd(k, 0, n, &prev_p, &mut cur_p).unwrap();
+                let s = fill_bwd(&seq, k, &prev_s, &mut cur_s);
+                let p = fill_bwd(&par, k, &prev_p, &mut cur_p);
                 assert_eq!(s, p, "bwd row {k}: identical counters");
                 for i in 0..=n {
                     assert_eq!(cur_s[i].to_bits(), cur_p[i].to_bits(), "bwd row {k} cell {i}");
@@ -1978,8 +2394,8 @@ pub(crate) mod tests {
             for k in [2usize, 5, 20] {
                 let imax = engine.gaps.imax_within(k, 0, engine.n);
                 let windows = engine.collect_windows_fwd(k, 0, imax);
-                let work: u64 = windows.iter().map(|w| w.work(true)).sum();
-                let chunks = engine.chunk_windows(&windows, work, true);
+                let work: u64 = windows.iter().map(|w| w.work(true, 1)).sum();
+                let chunks = engine.chunk_windows(&windows, work, true, 1);
                 assert!(chunks.len() >= windows.len());
                 let mut next = k;
                 for c in &chunks {

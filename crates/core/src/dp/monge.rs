@@ -118,9 +118,10 @@ pub enum DpStrategy {
     #[default]
     Auto,
     /// The certified `(1 + ε)`-approximate tier (see
-    /// [`crate::dp::approx`]): each row's scan is restricted to
-    /// geometrically spaced break candidates, with an a posteriori
-    /// upper/lower SSE bracket certifying the bound —
+    /// [`crate::dp::approx`]): each row solves only the cells on a
+    /// uniform grid of stride `b ≈ ε · n / c` against the grid-aligned
+    /// split candidates, with an a posteriori upper/lower SSE bracket
+    /// certifying the bound —
     /// [`crate::DpStats::certified_ratio`] `≤ 1 + ε` on every returned
     /// result. `Approx(0.0)` runs the exact scan. This is the tier for
     /// the non-Monge regime, where the certificate fails and the exact

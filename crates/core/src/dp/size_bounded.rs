@@ -2,9 +2,8 @@
 
 use pta_temporal::SequentialRelation;
 
-use crate::dp::{Cells, DpEngine, DpExecMode, DpMode, DpOptions, DpOutcome, DpStats, DpStrategy};
+use crate::dp::{Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, DpStrategy, Partition};
 use crate::error::CoreError;
-use crate::policy::GapPolicy;
 use crate::reduction::Reduction;
 use crate::weights::Weights;
 
@@ -14,8 +13,9 @@ use crate::weights::Weights;
 /// Worst case `O(n² c p)` time on gap-free data; near-linear when gaps or
 /// groups bound the adjacent runs (§5.3). Space is two error rows plus
 /// whatever the backtracking mode needs: `O(n c)` for the materialized
-/// split-point table, `O(n)` under divide and conquer — [`DpMode::Auto`]
-/// picks between them, so no input size is rejected.
+/// split-point table, `O(n)` under divide and conquer —
+/// [`DpMode::Auto`](crate::dp::DpMode::Auto) picks between them, so no
+/// input size is rejected.
 ///
 /// Fails with [`CoreError::SizeBelowMinimum`] when `c < cmin`.
 pub fn size_bounded(
@@ -26,33 +26,14 @@ pub fn size_bounded(
     run(input, weights, c, true, DpOptions::default(), true)
 }
 
-/// `PTAc` under a mergeability policy — with [`GapPolicy::Tolerate`] this
-/// is the paper's §8 future-work extension: tuples separated by holes up
-/// to `max_gap` chronons may merge, lowering `cmin` and unlocking smaller
-/// results on gap-ridden data.
-pub fn size_bounded_with_policy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-    policy: GapPolicy,
-) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, true, DpOptions { policy, ..DpOptions::default() }, true)
-}
-
-/// `PTAc` with an explicit backtracking mode — pin [`DpMode::Table`] or
-/// [`DpMode::DivideConquer`] (the cross-mode tests do), or set a custom
-/// [`DpMode::Budget`].
-pub fn size_bounded_with_mode(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-    mode: DpMode,
-) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, true, DpOptions { mode, ..DpOptions::default() }, true)
-}
-
-/// `PTAc` with both the mergeability policy and the backtracking mode
-/// chosen by the caller — the fully general entry point the facade uses.
+/// `PTAc` with every [`DpOptions`] knob chosen by the caller: the
+/// mergeability policy, the backtracking mode, the row strategy, the
+/// thread budget and the cancellation token. Under
+/// [`GapPolicy::Tolerate`](crate::policy::GapPolicy::Tolerate) this is
+/// the paper's §8 future-work extension: tuples separated by holes up to
+/// `max_gap` chronons may merge, lowering `cmin` and unlocking smaller
+/// results on gap-ridden data. The fully general entry point the facade
+/// uses.
 pub fn size_bounded_with_opts(
     input: &SequentialRelation,
     weights: &Weights,
@@ -83,9 +64,15 @@ pub fn size_bounded_naive(
     weights: &Weights,
     c: usize,
 ) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, false, DpOptions::default(), true)
+    run(input, weights, c, false, DpOptions::default().with_strategy(DpStrategy::Scan), true)
 }
 
+/// The size-bounded driver: probes each stride of the strategy's
+/// schedule (one exact stride-1 probe unless the strategy is
+/// `Approx(ε > 0)`) until a partition certifies, accumulating the work
+/// counters across probes. The split-point table (or the
+/// divide-and-conquer scratch) and the value rows are allocated once and
+/// `∞`-reset between probes.
 fn run(
     input: &SequentialRelation,
     weights: &Weights,
@@ -94,122 +81,102 @@ fn run(
     opts: DpOptions,
     early_break: bool,
 ) -> Result<DpOutcome, CoreError> {
-    let n = input.len();
-    if n == 0 {
-        return Ok(DpOutcome { reduction: Reduction::identity(input), stats: DpStats::default() });
+    if input.is_empty() {
+        return Ok(DpOutcome::identity(input, opts.strategy, opts.threads));
     }
-    let strategy = super::approx::resolve(input, &opts, prune);
     let engine = DpEngine::new_full(
         input,
         weights,
         prune,
         opts.policy,
         early_break,
-        strategy,
+        opts.strategy,
         opts.threads,
     )?
     .with_cancel(opts.cancel.clone());
+    let n = engine.n;
     let cmin = engine.gaps.cmin();
     if c < cmin {
         return Err(CoreError::SizeBelowMinimum { requested: c, cmin });
     }
     if c >= n {
-        let stats = DpStats {
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            ..DpStats::default()
-        };
-        return Ok(DpOutcome { reduction: Reduction::identity(input), stats });
-    }
-    // A positive ε dispatches to the sparsified bracket DP; ε ≤ 0 falls
-    // through to the exact machinery below, which an Approx-labeled
-    // engine traverses bit-identically to Scan (`certified_ratio` stays
-    // at its exact default of 1.0).
-    if let DpStrategy::Approx(eps) = engine.strategy {
-        if eps > 0.0 {
-            return super::approx::size_bounded_approx(input, weights, c, &engine, &opts, eps);
-        }
+        return Ok(DpOutcome::identity(input, engine.strategy, engine.pool.threads()));
     }
 
-    let (boundaries, optimum, stats) = if opts.mode.materializes_table(n, c) {
-        let width = n + 1;
-        let mut jm = vec![0usize; c * width];
-        // Both row buffers start at ∞; each row fill resets only its own
-        // window (see `fill_row_fwd`), so sparse rows cost O(window).
-        let mut prev = vec![f64::INFINITY; width];
-        let mut cur = vec![f64::INFINITY; width];
-        let mut cells = Cells::default();
-        for k in 1..=c {
-            cells += engine
-                .fill_row_fwd(k, 0, n, &prev, &mut cur, Some(&mut jm[(k - 1) * width..k * width]))
-                .map_err(|e| {
-                    // Rows 1..k − 1 completed before the abort.
-                    e.with_dp_progress(DpStats {
-                        rows: k - 1,
-                        cells: cells.total(),
-                        scan_cells: cells.scan,
-                        monge_cells: cells.monge,
-                        peak_rows: c + 2,
-                        mode: DpExecMode::Table,
-                        strategy: engine.strategy,
-                        threads: engine.pool.threads(),
-                        certified_ratio: 1.0,
-                    })
-                })?;
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let boundaries = engine.backtrack(&jm, c);
-        let stats = DpStats {
-            rows: c,
-            cells: cells.total(),
-            scan_cells: cells.scan,
-            monge_cells: cells.monge,
-            peak_rows: c + 2,
-            mode: DpExecMode::Table,
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            certified_ratio: 1.0,
-        };
-        (boundaries, prev[n], stats)
-    } else {
-        // `dnc_boundaries` stamps its own partial progress on abort.
-        let out = engine.dnc_boundaries(c)?;
-        let stats = DpStats {
-            rows: out.rows,
-            cells: out.cells.total(),
-            scan_cells: out.cells.scan,
-            monge_cells: out.cells.monge,
-            peak_rows: 4,
-            mode: DpExecMode::DivideConquer,
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            certified_ratio: 1.0,
-        };
-        (out.boundaries, out.optimal_sse, stats)
+    let width = n + 1;
+    let table = opts.mode.materializes_table(n, c);
+    let mut jm = if table { vec![0usize; c * width] } else { Vec::new() };
+    let mut rows = engine.rows();
+    // Divide and conquer fills a backward scratch beside the forward one.
+    let mut bwd = (!table).then(|| engine.rows());
+    let (peak, mode) = match &bwd {
+        None => (c + rows.count(), DpExecMode::Table),
+        Some(bwd) => (rows.count() + bwd.count(), DpExecMode::DivideConquer),
     };
-    debug_assert!(optimum.is_finite(), "E[c][n] must be finite when c >= cmin");
-
-    let reduction = Reduction::from_boundaries_with_policy(
-        input,
-        weights,
-        &engine.stats,
-        &boundaries,
-        opts.policy,
-    )?;
-    debug_assert!(
-        (reduction.sse() - optimum).abs() <= 1e-6 * (1.0 + optimum),
-        "reconstructed SSE {} deviates from DP optimum {}",
-        reduction.sse(),
-        optimum
-    );
-    Ok(DpOutcome { reduction, stats })
+    let mut cells = Cells::default();
+    let mut rows_done = 0usize;
+    for stride in engine.strides(c) {
+        let part = match &mut bwd {
+            None => {
+                for k in 1..=c {
+                    let splits = &mut jm[(k - 1) * width..k * width];
+                    cells += engine.step_fwd(k, 0, n, stride, &mut rows, Some(splits)).map_err(
+                        // Rows 1..k − 1 of this probe completed before the abort.
+                        |e| {
+                            e.with_dp_progress(engine.progress(
+                                rows_done + k - 1,
+                                cells,
+                                peak,
+                                mode,
+                            ))
+                        },
+                    )?;
+                }
+                rows_done += c;
+                Partition {
+                    boundaries: engine.backtrack(&jm, c),
+                    value: rows.value(n),
+                    lower: rows.lower(n),
+                }
+            }
+            Some(bwd) => engine
+                .dnc_boundaries(stride, c, &mut rows, bwd, &mut cells, &mut rows_done)
+                .map_err(|e| e.with_dp_progress(engine.progress(rows_done, cells, peak, mode)))?,
+        };
+        let reduction = Reduction::from_boundaries_with_policy(
+            input,
+            weights,
+            &engine.stats,
+            &part.boundaries,
+            opts.policy,
+        )?;
+        debug_assert!(
+            stride > 1 || (reduction.sse() - part.value).abs() <= 1e-6 * (1.0 + part.value),
+            "reconstructed SSE {} deviates from DP optimum {}",
+            reduction.sse(),
+            part.value
+        );
+        if let Some(ratio) = engine.certify(stride, reduction.sse(), part.lower) {
+            let stats = engine.run_stats(rows_done, cells, peak, mode, ratio);
+            return Ok(DpOutcome { reduction, stats });
+        }
+        rows.reset(0..=n);
+    }
+    // pta-lint: allow(no-panic-in-lib) — the last probe is the exact stride
+    // 1, which certifies unconditionally.
+    unreachable!("the exact stride-1 probe always certifies")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dp::tests::fig1c;
+    use crate::dp::DpMode;
     use pta_temporal::TimeInterval;
+
+    fn with_mode(mode: DpMode) -> DpOptions {
+        DpOptions::default().with_mode(mode)
+    }
 
     /// Example 6 / Fig. 1(d): the best reduction of the running example to
     /// 4 tuples has error 49 166 and merges {s1,s2}, {s3,s4,s5}, {s6}, {s7}.
@@ -248,8 +215,9 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for c in 3..=6 {
-            let table = size_bounded_with_mode(&input, &w, c, DpMode::Table).unwrap();
-            let dnc = size_bounded_with_mode(&input, &w, c, DpMode::DivideConquer).unwrap();
+            let table = size_bounded_with_opts(&input, &w, c, with_mode(DpMode::Table)).unwrap();
+            let dnc =
+                size_bounded_with_opts(&input, &w, c, with_mode(DpMode::DivideConquer)).unwrap();
             assert_eq!(table.stats.mode, DpExecMode::Table);
             assert_eq!(dnc.stats.mode, DpExecMode::DivideConquer);
             assert_eq!(table.stats.peak_rows, c + 2);
@@ -265,9 +233,10 @@ mod tests {
     fn budget_knob_selects_the_mode() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let forced = size_bounded_with_mode(&input, &w, 4, DpMode::Budget(8)).unwrap();
+        let forced = size_bounded_with_opts(&input, &w, 4, with_mode(DpMode::Budget(8))).unwrap();
         assert_eq!(forced.stats.mode, DpExecMode::DivideConquer);
-        let roomy = size_bounded_with_mode(&input, &w, 4, DpMode::Budget(1 << 10)).unwrap();
+        let roomy =
+            size_bounded_with_opts(&input, &w, 4, with_mode(DpMode::Budget(1 << 10))).unwrap();
         assert_eq!(roomy.stats.mode, DpExecMode::Table);
         assert_eq!(forced.reduction.source_ranges(), roomy.reduction.source_ranges());
     }

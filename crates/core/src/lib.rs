@@ -12,10 +12,15 @@
 //!
 //! * **Exact dynamic programming** ([`dp`]): `PTAc` and `PTAε`. The
 //!   §5 optimizations (constant-time range SSE, gap pruning, early
-//!   break) make it near-linear on data with gaps/groups; SMAWK row
-//!   minimization ([`DpStrategy`]) exploits the SSE's quadrangle
-//!   inequality to make it `O(n·c·p)` on *gap-free* data too (the plain
-//!   scan is `O(n²cp)` there). Split points come from a materialized
+//!   break) make it near-linear on data with gaps/groups. On gap-free
+//!   data the plain scan is `O(n²cp)`. SMAWK row minimization
+//!   ([`DpStrategy`]) brings that to `O(n·c·p)` on runs whose values are
+//!   monotone in every dimension, the only stretches where the SSE
+//!   provably satisfies the quadrangle inequality (on unsorted data it
+//!   fails: the series `0, 1, 0` violates it), so every other window
+//!   keeps the exact scan. The certified `DpStrategy::Approx(ε)` tier
+//!   covers unsorted gap-free data within `(1 + ε)` of the optimum.
+//!   Split points come from a materialized
 //!   `O(n·c)` table on small inputs or `O(n)`-memory divide-and-conquer
 //!   backtracking beyond it ([`DpMode`]), so no input size is rejected.
 //! * **Greedy merging** ([`greedy`]): offline GMS plus the streaming
@@ -44,21 +49,14 @@ pub mod summarize;
 pub mod weights;
 
 pub use cancel::CancelToken;
-pub use dp::curve::{
-    optimal_error_curve, optimal_error_curve_with_cancel, optimal_error_curve_with_strategy,
-    optimal_error_curve_with_threads,
-};
+pub use dp::curve::{optimal_error_curve, optimal_error_curve_with_cancel};
 pub use dp::error_bounded::{
-    error_bounded as pta_error_bounded, error_bounded_with_mode as pta_error_bounded_with_mode,
-    error_bounded_with_opts as pta_error_bounded_with_opts,
-    error_bounded_with_policy as pta_error_bounded_with_policy,
+    error_bounded as pta_error_bounded, error_bounded_with_opts as pta_error_bounded_with_opts,
 };
 pub use dp::size_bounded::{
     size_bounded as pta_size_bounded, size_bounded_naive as pta_size_bounded_naive,
     size_bounded_no_early_break as pta_size_bounded_no_early_break,
-    size_bounded_with_mode as pta_size_bounded_with_mode,
     size_bounded_with_opts as pta_size_bounded_with_opts,
-    size_bounded_with_policy as pta_size_bounded_with_policy,
 };
 pub use dp::{
     max_error, max_error_with_policy, DpExecMode, DpMode, DpOptions, DpOutcome, DpStats,

@@ -50,7 +50,6 @@ fn exact_size_bounded_cancels_cleanly_at_every_check_site() {
                     strategy,
                     threads,
                     cancel,
-                    ..DpOptions::default()
                 };
                 let tag = format!("{mode:?} {strategy:?} threads={threads}");
                 let baseline =

@@ -6,11 +6,16 @@ mod common;
 
 use common::{brute_force_optimal, random_sequential, random_sequential_continuous};
 use pta_core::{
-    gms_size_bounded, optimal_error_curve, pta_error_bounded, pta_error_bounded_with_mode,
-    pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_with_mode, DpExecMode, DpMode,
-    Weights,
+    gms_size_bounded, optimal_error_curve, pta_error_bounded, pta_error_bounded_with_opts,
+    pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_with_opts, DpExecMode, DpMode,
+    DpOptions, Weights,
 };
 use pta_temporal::{GroupKey, SequentialBuilder, TimeInterval};
+
+/// Default options with a pinned backtracking mode.
+fn with_mode(mode: DpMode) -> DpOptions {
+    DpOptions::default().with_mode(mode)
+}
 
 #[test]
 fn dp_matches_brute_force_on_random_inputs() {
@@ -116,8 +121,10 @@ fn size_bounded_modes_and_naive_agree_on_boundaries() {
             random_sequential_continuous(seed, 48, 1 + seed as usize % 2, group_prob, gap_prob);
         let w = Weights::uniform(input.dims());
         for c in input.cmin()..input.len() {
-            let table = pta_size_bounded_with_mode(&input, &w, c, DpMode::Table).unwrap();
-            let dnc = pta_size_bounded_with_mode(&input, &w, c, DpMode::DivideConquer).unwrap();
+            let table =
+                pta_size_bounded_with_opts(&input, &w, c, with_mode(DpMode::Table)).unwrap();
+            let dnc = pta_size_bounded_with_opts(&input, &w, c, with_mode(DpMode::DivideConquer))
+                .unwrap();
             let naive = pta_size_bounded_naive(&input, &w, c).unwrap();
             assert_eq!(table.stats.mode, DpExecMode::Table);
             assert_eq!(dnc.stats.mode, DpExecMode::DivideConquer);
@@ -156,8 +163,11 @@ fn error_bounded_modes_agree_on_boundaries() {
         let input = random_sequential_continuous(seed, 40, 1, 0.08, 0.15);
         let w = Weights::uniform(1);
         for eps in [0.0, 0.01, 0.1, 0.3, 0.7, 1.0] {
-            let table = pta_error_bounded_with_mode(&input, &w, eps, DpMode::Table).unwrap();
-            let dnc = pta_error_bounded_with_mode(&input, &w, eps, DpMode::DivideConquer).unwrap();
+            let table =
+                pta_error_bounded_with_opts(&input, &w, eps, with_mode(DpMode::Table)).unwrap();
+            let dnc =
+                pta_error_bounded_with_opts(&input, &w, eps, with_mode(DpMode::DivideConquer))
+                    .unwrap();
             assert_eq!(
                 table.reduction.source_ranges(),
                 dnc.reduction.source_ranges(),
@@ -190,22 +200,27 @@ fn error_bounded_near_zero_epsilon_runs_in_bounded_memory() {
     }
     let input = b.build();
     let w = Weights::uniform(1);
-    let dnc = pta_error_bounded_with_mode(&input, &w, 1e-12, DpMode::DivideConquer).unwrap();
+    let dnc =
+        pta_error_bounded_with_opts(&input, &w, 1e-12, with_mode(DpMode::DivideConquer)).unwrap();
     assert_eq!(dnc.reduction.len(), 100);
     assert!(dnc.reduction.sse() <= 1e-6);
     assert_eq!(dnc.stats.mode, DpExecMode::DivideConquer);
     assert!(dnc.stats.peak_rows <= 4, "peak rows {}", dnc.stats.peak_rows);
     // A small explicit budget records a few rows, overruns it, and still
     // finishes via divide-and-conquer recovery instead of aborting.
-    let budget =
-        pta_error_bounded_with_mode(&input, &w, 1e-12, DpMode::Budget(10 * (input.len() + 1)))
-            .unwrap();
+    let budget = pta_error_bounded_with_opts(
+        &input,
+        &w,
+        1e-12,
+        with_mode(DpMode::Budget(10 * (input.len() + 1))),
+    )
+    .unwrap();
     assert_eq!(budget.reduction.len(), 100);
     assert_eq!(budget.stats.mode, DpExecMode::DivideConquer);
     assert!(budget.stats.peak_rows <= 12, "peak rows {}", budget.stats.peak_rows);
     assert_eq!(budget.reduction.source_ranges(), dnc.reduction.source_ranges());
     // The table path agrees (and records all 100 rows).
-    let table = pta_error_bounded_with_mode(&input, &w, 1e-12, DpMode::Table).unwrap();
+    let table = pta_error_bounded_with_opts(&input, &w, 1e-12, with_mode(DpMode::Table)).unwrap();
     assert_eq!(table.reduction.source_ranges(), dnc.reduction.source_ranges());
     assert_eq!(table.stats.peak_rows, 102);
 }

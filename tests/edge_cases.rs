@@ -3,7 +3,11 @@
 mod common;
 
 use pta::{ita_table, mwta_table, Agg, Algorithm, Bound, Delta, GapPolicy, PtaQuery, Window};
-use pta_core::{pta_size_bounded, Delta as CoreDelta, Estimates, GPtaC, GPtaE, Weights};
+use pta_core::{
+    pta_error_bounded_with_opts, pta_size_bounded, pta_size_bounded_naive,
+    pta_size_bounded_with_opts, Delta as CoreDelta, DpOptions, DpStrategy, Estimates, GPtaC, GPtaE,
+    Weights,
+};
 use pta_temporal::{
     DataType, GroupKey, Schema, SequentialBuilder, SequentialRelation, TemporalRelation,
     TimeInterval, Value,
@@ -260,4 +264,29 @@ fn builder_remains_usable_after_rejected_row() {
     let rel: SequentialRelation = b.build();
     rel.validate().unwrap();
     assert_eq!(rel.len(), 2);
+}
+
+/// An empty input has nothing to merge, yet its DP stats still report the
+/// strategy the run was asked for and the resolved thread budget, like
+/// every other run.
+#[test]
+fn empty_input_reports_requested_strategy_and_threads() {
+    let input = SequentialRelation::empty(1);
+    let w = Weights::uniform(1);
+    let opts = DpOptions::default().with_strategy(DpStrategy::Scan).with_threads(3);
+    let sized = pta_size_bounded_with_opts(&input, &w, 0, opts.clone()).unwrap();
+    let bounded = pta_error_bounded_with_opts(&input, &w, 0.5, opts).unwrap();
+    for out in [sized, bounded] {
+        assert!(out.reduction.is_empty());
+        assert_eq!(out.stats.strategy, DpStrategy::Scan);
+        assert_eq!(out.stats.threads, 3);
+        assert_eq!((out.stats.rows, out.stats.cells), (0, 0));
+    }
+    // A zero budget resolves to the process default, which is at least 1.
+    let default = pta_size_bounded_with_opts(&input, &w, 0, DpOptions::default()).unwrap();
+    assert_eq!(default.stats.strategy, DpStrategy::Auto);
+    assert!(default.stats.threads >= 1);
+    // The naive baseline always records the scan.
+    let naive = pta_size_bounded_naive(&input, &w, 0).unwrap();
+    assert_eq!(naive.stats.strategy, DpStrategy::Scan);
 }

@@ -7,10 +7,16 @@ mod common;
 
 use common::random_sequential;
 use pta_core::{
-    gms_size_bounded_with_policy, max_error_with_policy, pta_error_bounded_with_policy,
-    pta_size_bounded, pta_size_bounded_with_policy, Delta, GPtaC, GapPolicy, GapVector, Weights,
+    gms_size_bounded_with_policy, max_error_with_policy, pta_error_bounded_with_opts,
+    pta_size_bounded, pta_size_bounded_with_opts, Delta, DpOptions, GPtaC, GapPolicy, GapVector,
+    Weights,
 };
 use pta_temporal::{GroupKey, SequentialBuilder, SequentialRelation, TimeInterval, Value};
+
+/// Default options under a mergeability policy.
+fn with_policy(policy: GapPolicy) -> DpOptions {
+    DpOptions::default().with_policy(policy)
+}
 
 /// Two plateaus separated by a 2-chronon hole, in one group; a second
 /// group follows.
@@ -41,7 +47,7 @@ fn bridged_merge_weights_covered_chronons_only() {
     let input = holed();
     let w = Weights::uniform(1);
     let policy = GapPolicy::Tolerate { max_gap: 2 };
-    let out = pta_size_bounded_with_policy(&input, &w, 2, policy).unwrap();
+    let out = pta_size_bounded_with_opts(&input, &w, 2, with_policy(policy)).unwrap();
     assert_eq!(out.reduction.len(), 2);
     let z = out.reduction.relation();
     // Merged A-tuple spans the hole [0, 9] but averages 4+4 covered months.
@@ -61,7 +67,7 @@ fn zero_tolerance_equals_strict_everywhere() {
         let zero = GapPolicy::Tolerate { max_gap: 0 };
         for c in [input.cmin(), (input.cmin() + input.len()) / 2] {
             let strict = pta_size_bounded(&input, &w, c).unwrap();
-            let tolerant = pta_size_bounded_with_policy(&input, &w, c, zero).unwrap();
+            let tolerant = pta_size_bounded_with_opts(&input, &w, c, with_policy(zero)).unwrap();
             assert_eq!(strict.reduction.source_ranges(), tolerant.reduction.source_ranges());
         }
     }
@@ -79,7 +85,7 @@ fn wider_tolerance_never_hurts_the_optimum() {
                 continue;
             }
             let strict = pta_size_bounded(&input, &w, c).unwrap();
-            let tolerant = pta_size_bounded_with_policy(&input, &w, c, loose).unwrap();
+            let tolerant = pta_size_bounded_with_opts(&input, &w, c, with_policy(loose)).unwrap();
             assert!(
                 tolerant.reduction.sse() <= strict.reduction.sse() + 1e-9,
                 "seed {seed} c {c}: a superset of merges cannot be worse"
@@ -118,6 +124,6 @@ fn error_bounded_uses_policy_scoped_emax() {
     let tolerant_emax = max_error_with_policy(&input, &w, policy).unwrap();
     assert_eq!(strict_emax, 0.0, "strict runs are single-valued plateaus");
     assert!((tolerant_emax - 8.0).abs() < 1e-9);
-    let out = pta_error_bounded_with_policy(&input, &w, 1.0, policy).unwrap();
+    let out = pta_error_bounded_with_opts(&input, &w, 1.0, with_policy(policy)).unwrap();
     assert_eq!(out.reduction.len(), 2, "full budget reaches the tolerant cmin");
 }

@@ -15,8 +15,8 @@ mod common;
 
 use common::{fig1c, random_sequential_continuous, random_sequential_trendy};
 use pta_core::{
-    optimal_error_curve_with_threads, pta_error_bounded_with_opts, pta_size_bounded_with_opts,
-    DpMode, DpOptions, DpStrategy, GapPolicy, Weights,
+    optimal_error_curve_with_cancel, pta_error_bounded_with_opts, pta_size_bounded_with_opts,
+    CancelToken, DpMode, DpOptions, DpStrategy, GapPolicy, Weights,
 };
 use pta_temporal::SequentialRelation;
 
@@ -25,6 +25,18 @@ const STRATEGIES: [DpStrategy; 2] = [DpStrategy::Scan, DpStrategy::Monge];
 
 fn opts(mode: DpMode, strategy: DpStrategy, threads: usize) -> DpOptions {
     DpOptions { policy: GapPolicy::Strict, mode, strategy, threads, ..DpOptions::default() }
+}
+
+/// The error-vs-size curve under `strategy` at a thread budget.
+fn curve(
+    input: &SequentialRelation,
+    w: &Weights,
+    kmax: usize,
+    strategy: DpStrategy,
+    threads: usize,
+) -> Vec<f64> {
+    optimal_error_curve_with_cancel(input, w, kmax, strategy, threads, CancelToken::inert())
+        .unwrap()
 }
 
 /// The three §7 input classes the row fills behave differently on.
@@ -131,10 +143,9 @@ fn error_curves_are_bit_identical_across_thread_budgets() {
         let w = Weights::uniform(input.dims());
         let kmax = input.len() / 2;
         for strategy in STRATEGIES {
-            let seq = optimal_error_curve_with_threads(&input, &w, kmax, strategy, 1).unwrap();
+            let seq = curve(&input, &w, kmax, strategy, 1);
             for threads in [2usize, 6] {
-                let par =
-                    optimal_error_curve_with_threads(&input, &w, kmax, strategy, threads).unwrap();
+                let par = curve(&input, &w, kmax, strategy, threads);
                 assert_eq!(par.len(), seq.len());
                 for k in 0..kmax {
                     assert_eq!(
