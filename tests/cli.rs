@@ -20,7 +20,10 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary built by the test harness");
-    child.stdin.as_mut().expect("piped stdin").write_all(stdin.as_bytes()).expect("write stdin");
+    // A CLI that rejects its arguments may exit before it reads stdin.
+    if let Err(e) = child.stdin.as_mut().expect("piped stdin").write_all(stdin.as_bytes()) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     let out = child.wait_with_output().expect("cli terminates");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
