@@ -317,28 +317,6 @@ fn facade_dp_strategy_knob_is_equivalent() {
     }
 }
 
-/// Piecewise-constant levels with random step positions (off the stride
-/// grid by construction) plus occasional narrow spikes and noise.
-fn off_grid_steps(seed: u64, n: usize) -> SequentialRelation {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);
-    let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-    };
-    let mut vals = Vec::with_capacity(n);
-    let mut level = 0.0f64;
-    let mut next_step = 5 + ((next().abs() * 40.0) as usize);
-    for t in 0..n {
-        if t == next_step {
-            level += next() * 200.0;
-            next_step = t + 3 + ((next().abs() * 50.0) as usize);
-        }
-        let spike = if next() > 0.48 { next() * 800.0 } else { 0.0 };
-        vals.push(level + spike + next());
-    }
-    series(&vals)
-}
-
 /// The ε-grid of the approx suite: from "barely distinguishable from
 /// exact" to "anything within 2× goes".
 const APPROX_EPS_GRID: [f64; 5] = [0.01, 0.05, 0.1, 0.3, 1.0];
@@ -347,9 +325,7 @@ const APPROX_EPS_GRID: [f64; 5] = [0.01, 0.05, 0.1, 0.3, 1.0];
 /// budgets 1/2/4, gap-rich/flat/trendy inputs, and the full ε-grid, the
 /// approximate SSE stays within `(1 + ε)` of the exact scan's optimum,
 /// the reported certificate bounds what was delivered, and every thread
-/// budget returns bit-identical results. A second input set — 100 seeds
-/// of off-grid step data at `c = 16`, `ε = 0.2` under divide and
-/// conquer — pins the bound where the grid is least likely to help.
+/// budget returns bit-identical results.
 #[test]
 fn approx_bound_holds_across_modes_threads_and_eps_grid() {
     let inputs = [
@@ -397,26 +373,6 @@ fn approx_bound_holds_across_modes_threads_and_eps_grid() {
                 }
             }
         }
-    }
-    // Off-grid steps: the optimal boundaries almost never sit on the
-    // stride grid, and divide and conquer recurses over fixed midpoints,
-    // so the bound must survive the a posteriori ratio test alone.
-    let (c, eps) = (16usize, 0.2f64);
-    let w = Weights::uniform(1);
-    for seed in 40..140u64 {
-        let input = off_grid_steps(seed, 300);
-        let run = |strategy| {
-            pta_size_bounded_with_opts(&input, &w, c, opts(DpMode::DivideConquer, strategy))
-                .unwrap()
-        };
-        let e = run(DpStrategy::Scan).reduction.sse();
-        let approx = run(DpStrategy::Approx(eps));
-        let a = approx.reduction.sse();
-        assert!(
-            a <= (1.0 + eps) * e + 1e-6 * (1.0 + e),
-            "off-grid seed {seed} c {c} eps {eps}: approx sse {a} vs exact {e} (certified {})",
-            approx.stats.certified_ratio
-        );
     }
 }
 
