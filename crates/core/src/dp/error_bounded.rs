@@ -126,7 +126,7 @@ fn run_with_threshold(
         rows_done += found;
         let lower = rows.lower(n);
         let (boundaries, peak, mode) = if found <= recorded {
-            (engine.backtrack(&jm, found), recorded + rows.count(), DpExecMode::Table)
+            (engine.backtrack(&jm, 0, n, found), recorded + rows.count(), DpExecMode::Table)
         } else {
             // Free the split-point rows and reuse the search rows as the
             // forward scratch, so the peak stays at max(search, recovery).

@@ -93,6 +93,60 @@
 //! `Monge × DivideConquer` runs exact PTA over gap-free monotone runs in
 //! `O(c · n)` time *and* `O(n)` memory.
 //!
+//! # Run decomposition
+//!
+//! A break separates tuples that can never merge, so every piece of a
+//! reduction lies inside one maximal break-free *run* of the gap vector,
+//! and the reduction's SSE is the sum of its runs' SSEs. The gap pruning
+//! keeps the whole-input DP from merging across breaks, but each of its
+//! `c` rows still rescans every run's in-run candidates: `O(c · Σ n_r²)`
+//! on grouped data, for what is a combination of independent per-run
+//! problems. Exact `PTAc` on an input with breaks therefore solves the
+//! runs apart:
+//!
+//! * **Forced and free runs.** With slack `s = c − cmin`, run `r` of
+//!   `n_r` tuples takes between 1 and `d_r = min(n_r, s + 1)` pieces.
+//!   A run with `d_r = 1` (a single tuple, or no slack at all) is
+//!   *forced* to one piece and costs no DP work; the others are *free*.
+//! * **Curves.** Each free run fills rows `1..=d_r` of its own DP with
+//!   the forward row fill, over rows that cover only the run (`O(n_r)`
+//!   scratch), and keeps each row's last cell: its optimal SSE in
+//!   `1..=d_r` pieces. The runs fan out across the pool, one run per
+//!   job, heaviest first; a run carrying a `1/threads` share of the work
+//!   or more fills on the calling thread so its rows fan out instead.
+//! * **Merge.** A min-plus merge of the curves splits the slack among the
+//!   free runs in `O(s · Σ_r d_r)`: each fold is windowed to the budget
+//!   the runs folded so far can absorb, and Hirschberg's scheme over the
+//!   run sequence (fold both halves, pick the best division of the
+//!   budget, recurse) recovers the allocation with two `(s + 1)`-entry
+//!   vectors instead of a (free runs) × `(s + 1)` argmin table. On an
+//!   exact tie the later half takes the larger share, as the whole-input
+//!   scan's rightmost split would. The merge polls the cancel token once
+//!   per folded run.
+//! * **Backtracking.** The [`DpMode`] resolves for the whole input
+//!   (`c · (n + 1)` against the budget), so [`DpStats::mode`] reads as
+//!   before. Under a table each curve fill also records its run's
+//!   split points (`d_r · (n_r + 1)` entries; all runs together stay
+//!   within `c · (n + 1)`), and a run is backtracked by walking its
+//!   table at its size — no second fill. Under divide and conquer the
+//!   curves keep only two rows per run, and each run is partitioned at
+//!   its size by the whole-input DP's divide-and-conquer recursion over
+//!   its own cells (sizes `1` and `n_r` need no DP).
+//!
+//! Inputs without breaks, and inputs where at most one run is free, skip
+//! the curves and the merge: the one free run takes the whole slack and
+//! runs the single-range DP (over `0..n` on a gap-free input, which is
+//! exactly the whole-input DP). The reduction is always rebuilt from
+//! the global prefix stats, so its SSE bits depend only on the
+//! boundaries; ties aside, every strategy and mode returns the
+//! boundaries of the whole-input DP. [`DpStats`] sums the runs' rows
+//! and split points, counts the merge's evaluations as scan cells, and
+//! reports the runs' summed buffers in `(n + 1)`-entry rows; no counter
+//! depends on the thread budget. The work drops from
+//! `O(c · Σ_r n_r²)` to `O(Σ_r n_r² · d_r + s · Σ_r d_r)`. Error-bounded
+//! runs, the curves of [`curve`], `Approx(ε > 0)` probes and the unpruned
+//! baseline keep the whole-input DP.
+//!
 //! [`size_bounded`] implements `PTAc` (Fig. 7), [`error_bounded`]
 //! implements `PTAε` (Fig. 8), and [`curve`] produces whole error-vs-size
 //! curves for the evaluation. The *naive DP* baseline of the paper's
@@ -104,6 +158,7 @@ pub mod approx;
 pub mod curve;
 pub mod error_bounded;
 pub mod monge;
+mod runs;
 pub mod size_bounded;
 
 use std::ops::RangeInclusive;
@@ -258,22 +313,43 @@ impl DpOptions {
 /// `Eq` and derived `Default` are deliberately absent:
 /// [`DpStats::certified_ratio`] is an `f64` whose neutral value is `1.0`
 /// (an exact run is trivially within every bound), not `0.0`.
+///
+/// A size-bounded run decomposed into break-free runs (see "Run
+/// decomposition" in the [module docs](self)) counts the work of every
+/// run: `rows` and `cells` sum the runs' curve fills and backtracks, plus
+/// the merge's allocation evaluations as scan cells, and `peak_rows`
+/// measures the runs' buffers in `(n + 1)`-entry rows. None of them
+/// depends on the thread budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpStats {
     /// Number of matrix rows filled (`k` values), counting divide-and-
-    /// conquer re-fills.
+    /// conquer re-fills. A decomposed run counts each free run's rows:
+    /// `d_r` curve rows, plus its divide-and-conquer rows (a table walk
+    /// fills none); forced runs fill none.
     pub rows: usize,
     /// Number of inner-loop split-point evaluations
     /// (`scan_cells + monge_cells`).
     pub cells: u64,
     /// Split-point evaluations performed by the quadratic scan (including
-    /// linear `k = 1` rows and forced-split cells).
+    /// linear `k = 1` rows and forced-split cells). A decomposed run adds
+    /// the run merge's evaluations: one per (budget, pieces) pair it
+    /// compares.
     pub scan_cells: u64,
     /// Cost-oracle evaluations performed by the Monge row-minima engine.
     pub monge_cells: u64,
     /// Peak number of `(n + 1)`-entry rows simultaneously allocated
     /// (error rows plus recorded split-point rows). `c + 2` for the
-    /// materialized table; a small constant for divide and conquer.
+    /// materialized table; a small constant for divide and conquer. A
+    /// decomposed run's buffers each cover one run (`n_r + 1` entries a
+    /// row), so it reports their peak total in `(n + 1)`-entry rows,
+    /// rounded up, counting every free run as if all were in flight at
+    /// once: two rows each while the curves fill, plus under a table the
+    /// runs' split-point tables (`d_r` rows each), beside the curves
+    /// (`Σ d_r` entries) and the merge's two `(s + 1)`-entry vectors;
+    /// under divide and conquer, four rows per run while the runs
+    /// backtrack. With one free run only its single-range solver counts
+    /// (`a + 2` or 4 rows of `n_r + 1` entries, converted the same way);
+    /// with none, 0.
     pub peak_rows: usize,
     /// Which backtracking mode actually ran.
     pub mode: DpExecMode,
@@ -464,23 +540,31 @@ fn grid_work(work: u64, stride: usize) -> u64 {
 }
 
 /// The row a fill reads: DP row `k − 1`, plus its lower bracket on an
-/// `Approx(ε > 0)` probe.
+/// `Approx(ε > 0)` probe. Cell `j` sits at index `j − at`, so a row can
+/// cover just the tuple range it serves (see [`Rows`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowIn<'a> {
+    at: usize,
     val: &'a [f64],
     lb: Option<&'a [f64]>,
 }
 
 impl<'a> RowIn<'a> {
-    /// An unbracketed row (the exact strategies).
+    /// An unbracketed, absolute-indexed row (the exact strategies).
     pub(crate) fn values(val: &'a [f64]) -> Self {
-        Self { val, lb: None }
+        Self { at: 0, val, lb: None }
+    }
+
+    /// The value at cell `j`.
+    #[inline]
+    fn get(&self, j: usize) -> f64 {
+        self.val[j - self.at]
     }
 
     /// The lower bracket at `j` — the value itself when unbracketed.
     #[inline]
     fn lower(&self, j: usize) -> f64 {
-        self.lb.map_or(self.val[j], |lb| lb[j])
+        self.lb.map_or_else(|| self.get(j), |lb| lb[j - self.at])
     }
 }
 
@@ -549,22 +633,30 @@ impl<'a> RowOut<'a> {
 
 /// The two alternating rows of a DP sweep — row `k − 1` (`prev`) and
 /// row `k` (`cur`) — plus, on an `Approx(ε > 0)` run, the matching pair
-/// of lower-bracket rows. Every row is `n + 1` entries, absolute-indexed
-/// and `∞`-initialized; each fill resets only its own window (see
+/// of lower-bracket rows. Every row covers the cells `lo..=hi` of the
+/// tuple range it serves (`n + 1` entries for the whole input, `n_r + 1`
+/// for one run; cell `i` sits at index `i − lo`) and is `∞`-initialized;
+/// each fill resets only its own window (see
 /// [`DpEngine::fill_row_fwd`]), so sparse rows cost `O(window)`.
 pub(crate) struct Rows {
+    at: usize,
     prev: Vec<f64>,
     cur: Vec<f64>,
     lb: Option<(Vec<f64>, Vec<f64>)>,
 }
 
 impl Rows {
-    fn new(width: usize, bracket: bool) -> Self {
-        let row = || vec![f64::INFINITY; width];
-        Self { prev: row(), cur: row(), lb: bracket.then(|| (row(), row())) }
+    fn new(lo: usize, hi: usize, bracket: bool) -> Self {
+        let row = || vec![f64::INFINITY; hi - lo + 1];
+        Self { at: lo, prev: row(), cur: row(), lb: bracket.then(|| (row(), row())) }
     }
 
-    /// Number of `(n + 1)`-entry rows held — this buffer's share of
+    /// The tuple range `lo..hi` the rows serve, as `(lo, hi)`.
+    pub(crate) fn span(&self) -> (usize, usize) {
+        (self.at, self.at + self.prev.len() - 1)
+    }
+
+    /// Number of rows held — this buffer's share of
     /// [`DpStats::peak_rows`].
     pub(crate) fn count(&self) -> usize {
         if self.lb.is_some() {
@@ -576,6 +668,7 @@ impl Rows {
 
     /// Resets cells `range` of every row to `∞`.
     pub(crate) fn reset(&mut self, range: RangeInclusive<usize>) {
+        let range = range.start() - self.at..=range.end() - self.at;
         self.prev[range.clone()].fill(f64::INFINITY);
         self.cur[range.clone()].fill(f64::INFINITY);
         if let Some((prev, cur)) = &mut self.lb {
@@ -586,13 +679,13 @@ impl Rows {
 
     /// Cell `i` of the last completed row.
     pub(crate) fn value(&self, i: usize) -> f64 {
-        self.prev[i]
+        self.prev[i - self.at]
     }
 
     /// Cell `i` of the last completed row's lower bracket — the value
     /// itself when unbracketed.
     pub(crate) fn lower(&self, i: usize) -> f64 {
-        self.lb.as_ref().map_or(self.prev[i], |(prev, _)| prev[i])
+        self.lb.as_ref().map_or(self.value(i), |(prev, _)| prev[i - self.at])
     }
 
     /// The row to read and the row to write for the next fill.
@@ -601,9 +694,10 @@ impl Rows {
             Some((prev, cur)) => (Some(&prev[..]), Some(&mut cur[..])),
             None => (None, None),
         };
+        let at = self.at;
         (
-            RowIn { val: &self.prev, lb: lb_in },
-            RowOut { at: 0, val: &mut self.cur, lb: lb_out, splits },
+            RowIn { at, val: &self.prev, lb: lb_in },
+            RowOut { at, val: &mut self.cur, lb: lb_out, splits },
         )
     }
 
@@ -794,9 +888,16 @@ impl DpEngine {
         }
     }
 
-    /// Fresh `∞` rows for a sweep, bracketed on an `Approx(ε > 0)` run.
+    /// Fresh `∞` rows for a sweep over the whole input, bracketed on an
+    /// `Approx(ε > 0)` run.
     pub(crate) fn rows(&self) -> Rows {
-        Rows::new(self.n + 1, self.approx_eps().is_some())
+        self.rows_over(0, self.n)
+    }
+
+    /// Fresh `∞` rows covering only the cells `lo..=hi` — the scratch of
+    /// a sweep over the tuple range `lo..hi`.
+    pub(crate) fn rows_over(&self, lo: usize, hi: usize) -> Rows {
+        Rows::new(lo, hi, self.approx_eps().is_some())
     }
 
     /// The statistics of a run of this engine.
@@ -955,7 +1056,7 @@ impl DpEngine {
                 for j in (floor..i).rev() {
                     cells.scan += 1;
                     let err2 = self.cost(j, i);
-                    let total = prev.val[j] + err2;
+                    let total = prev.get(j) + err2;
                     if total < best {
                         best = total;
                         best_j = j;
@@ -1044,7 +1145,7 @@ impl DpEngine {
                 if feasible {
                     for i in w.ws..=w.we {
                         let err2 = self.stats.range_sse(&self.weights, g..i);
-                        out.put(i, prev.val[g] + err2, prev.lower(g) + err2);
+                        out.put(i, prev.get(g) + err2, prev.lower(g) + err2);
                         out.split(i, g);
                     }
                 }
@@ -1052,7 +1153,7 @@ impl DpEngine {
             WindowTask::Open { jbound: jmin, engine } => {
                 if let Some(engine) = engine {
                     let (evals, solved) =
-                        self.monge_window_fwd(engine, prev.val, out, w.ws, w.we, jmin);
+                        self.monge_window_fwd(engine, prev, out, w.ws, w.we, jmin);
                     cells.monge += evals;
                     if solved {
                         return cells;
@@ -1105,7 +1206,7 @@ impl DpEngine {
                 evals += 1;
                 // j ≥ jmin guarantees the range crosses no break.
                 let err2 = self.stats.range_sse(&self.weights, j..i);
-                let total = prev.val[j] + err2;
+                let total = prev.get(j) + err2;
                 if total < best {
                     best = total;
                     best_j = j;
@@ -1120,7 +1221,7 @@ impl DpEngine {
                         evals += 1;
                         self.stats.range_sse(&self.weights, (j + b - 1).min(i)..i)
                     };
-                    let lb_total = lb_prev[j] + low;
+                    let lb_total = lb_prev[j - prev.at] + low;
                     if lb_total < lb_best {
                         lb_best = lb_total;
                     }
@@ -1242,7 +1343,7 @@ impl DpEngine {
     fn monge_window_fwd(
         &self,
         engine: RowMinEngine,
-        prev: &[f64],
+        prev: RowIn<'_>,
         out: &mut RowOut<'_>,
         ws: usize,
         we: usize,
@@ -1257,13 +1358,13 @@ impl DpEngine {
         // bound approaches the pad range, real costs could outgrow pads
         // and catastrophic cancellation dwarfs the QI tolerance — scan
         // instead.
-        let bound = prev[jmin].max(prev[we - 1]) + stats.range_sse(weights, jmin..we);
+        let bound = prev.get(jmin).max(prev.get(we - 1)) + stats.range_sse(weights, jmin..we);
         if !monge::pads_dominate(bound) {
             return (0, false);
         }
         let oracle = |i: usize, j: usize| {
             if j < i {
-                prev[j] + stats.range_sse(weights, j..i)
+                prev.get(j) + stats.range_sse(weights, j..i)
             } else {
                 monge::pad(j - i)
             }
@@ -1341,7 +1442,7 @@ impl DpEngine {
                 for j in (i + 1)..=ceil {
                     cells.scan += 1;
                     let err2 = self.cost(i, j);
-                    let total = err2 + prev.val[j];
+                    let total = err2 + prev.get(j);
                     if total < best {
                         best = total;
                     }
@@ -1425,14 +1526,14 @@ impl DpEngine {
                 if feasible {
                     for i in w.ws..=w.we {
                         let err2 = self.stats.range_sse(&self.weights, i..g);
-                        out.put(i, err2 + prev.val[g], err2 + prev.lower(g));
+                        out.put(i, err2 + prev.get(g), err2 + prev.lower(g));
                     }
                 }
             }
             WindowTask::Open { jbound: jmax, engine } => {
                 if let Some(engine) = engine {
                     let (evals, solved) =
-                        self.monge_window_bwd(engine, prev.val, out, w.ws, w.we, jmax);
+                        self.monge_window_bwd(engine, prev, out, w.ws, w.we, jmax);
                     cells.monge += evals;
                     if solved {
                         return cells;
@@ -1477,7 +1578,7 @@ impl DpEngine {
                 evals += 1;
                 // j ≤ jmax guarantees the range crosses no break.
                 let err2 = self.stats.range_sse(&self.weights, i..j);
-                let total = err2 + prev.val[j];
+                let total = err2 + prev.get(j);
                 if total < best {
                     best = total;
                 }
@@ -1488,7 +1589,7 @@ impl DpEngine {
                         evals += 1;
                         self.stats.range_sse(&self.weights, i..(j + 1).saturating_sub(b).max(i))
                     };
-                    let lb_total = low + lb_prev[j];
+                    let lb_total = low + lb_prev[j - prev.at];
                     if lb_total < lb_best {
                         lb_best = lb_total;
                     }
@@ -1517,7 +1618,7 @@ impl DpEngine {
     fn monge_window_bwd(
         &self,
         engine: RowMinEngine,
-        prev: &[f64],
+        prev: RowIn<'_>,
         out: &mut RowOut<'_>,
         ws: usize,
         we: usize,
@@ -1527,13 +1628,13 @@ impl DpEngine {
         let weights = &self.weights;
         // Mirrored magnitude certificate (the suffix row `prev` is
         // nonincreasing in `j`; sample both ends, same 2³⁰ margin).
-        let bound = prev[ws + 1].max(prev[jmax]) + stats.range_sse(weights, ws..jmax);
+        let bound = prev.get(ws + 1).max(prev.get(jmax)) + stats.range_sse(weights, ws..jmax);
         if !monge::pads_dominate(bound) {
             return (0, false);
         }
         let oracle = |i: usize, j: usize| {
             if j > i {
-                stats.range_sse(weights, i..j) + prev[j]
+                stats.range_sse(weights, i..j) + prev.get(j)
             } else {
                 monge::pad(i - j)
             }
@@ -1592,34 +1693,36 @@ impl DpEngine {
         Ok(cells)
     }
 
-    /// Reconstructs the partition boundaries from the split-point matrix:
-    /// rows `1..=k`, each of width `n + 1`, flattened row-major.
-    pub(crate) fn backtrack(&self, jm: &[usize], k: usize) -> Vec<usize> {
-        let n = self.n;
-        let width = n + 1;
+    /// Reconstructs the partition boundaries of the tuple range `lo..hi`
+    /// from its split-point matrix: rows `1..=k`, each covering the cells
+    /// `lo..=hi` (`hi − lo + 1` entries), flattened row-major.
+    pub(crate) fn backtrack(&self, jm: &[usize], lo: usize, hi: usize, k: usize) -> Vec<usize> {
+        let width = hi - lo + 1;
         let mut bounds = Vec::with_capacity(k + 1);
-        bounds.push(n);
-        let mut i = n;
+        bounds.push(hi);
+        let mut i = hi;
         for kk in (1..=k).rev() {
-            let j = jm[(kk - 1) * width + i];
+            let j = jm[(kk - 1) * width + i - lo];
             debug_assert!(j < i, "split point must shrink the prefix");
             bounds.push(j);
             i = j;
         }
-        debug_assert_eq!(i, 0, "backtrack must consume the whole prefix");
+        debug_assert_eq!(i, lo, "backtrack must consume the whole prefix");
         bounds.reverse();
         bounds
     }
 
-    /// Recovers a partition of the whole input into `c` pieces with
-    /// `O(n)` memory: Hirschberg-style divide-and-conquer backtracking
-    /// over [`DpEngine::fill_row_fwd`] / [`DpEngine::fill_row_bwd`] at
-    /// `stride`, with `fwd` and `bwd` as the scratch rows of every node.
-    /// At stride 1 the partition is optimal; on an Approx probe the root
-    /// node's lower bound certifies it. Work accumulates into `cells` and
-    /// `rows`, so an abort leaves honest partial counters behind.
-    /// Requires `1 ≤ c ≤ n` and a feasible reduction (`c ≥ cmin`), which
-    /// the public entry points establish.
+    /// Recovers a partition of the tuple range `lo..hi` covered by the
+    /// scratch rows (`lo..=hi`, see [`Rows`]) into `c` pieces with
+    /// `O(hi − lo)` memory: Hirschberg-style divide-and-conquer
+    /// backtracking over [`DpEngine::fill_row_fwd`] /
+    /// [`DpEngine::fill_row_bwd`] at `stride`, with `fwd` and `bwd` as the
+    /// scratch rows of every node. At stride 1 the partition is optimal;
+    /// on an Approx probe the root node's lower bound certifies it. Work
+    /// accumulates into `cells` and `rows`, so an abort leaves honest
+    /// partial counters behind. Requires `1 ≤ c ≤ hi − lo` and a feasible
+    /// reduction (`c` at least the range's run count), which the callers
+    /// establish.
     pub(crate) fn dnc_boundaries(
         &self,
         stride: usize,
@@ -1629,13 +1732,14 @@ impl DpEngine {
         cells: &mut Cells,
         rows: &mut usize,
     ) -> Result<Partition, CoreError> {
-        debug_assert!(c >= 1 && c <= self.n);
+        let (lo, hi) = fwd.span();
+        debug_assert!(c >= 1 && c <= hi - lo);
         let mut cuts = Vec::with_capacity(c + 1);
-        cuts.push(0);
+        cuts.push(lo);
         let mut d = Dnc { stride, fwd, bwd, cuts, cells, rows };
-        let (value, lower) = self.dnc_rec(&mut d, 0, self.n, c)?;
+        let (value, lower) = self.dnc_rec(&mut d, lo, hi, c)?;
         let mut boundaries = d.cuts;
-        boundaries.push(self.n);
+        boundaries.push(hi);
         debug_assert_eq!(boundaries.len(), c + 1);
         Ok(Partition { boundaries, value, lower })
     }
@@ -2226,7 +2330,7 @@ pub(crate) mod tests {
                         std::mem::swap(&mut prev, &mut cur);
                         cur.fill(f64::INFINITY);
                     }
-                    let table = engine.backtrack(&jm, c);
+                    let table = engine.backtrack(&jm, 0, n, c);
                     let dnc = dnc_partition(&engine, c);
                     assert_eq!(table, dnc.boundaries, "c = {c} (prune={prune}, {strategy:?})");
                     assert!(

@@ -2,7 +2,9 @@
 
 use pta_temporal::SequentialRelation;
 
-use crate::dp::{Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, DpStrategy, Partition};
+use crate::dp::{
+    runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, DpStrategy, Partition, Rows,
+};
 use crate::error::CoreError;
 use crate::reduction::Reduction;
 use crate::weights::Weights;
@@ -11,9 +13,13 @@ use crate::weights::Weights;
 /// tuples with minimal SSE (Def. 6), via the gap-pruned DP.
 ///
 /// Worst case `O(n² c p)` time on gap-free data; near-linear when gaps or
-/// groups bound the adjacent runs (§5.3). Space is two error rows plus
-/// whatever the backtracking mode needs: `O(n c)` for the materialized
-/// split-point table, `O(n)` under divide and conquer —
+/// groups bound the adjacent runs (§5.3). On an input with breaks the
+/// break-free runs are solved apart and their error curves merged, in
+/// `O(Σ_r n_r² · d_r + s · Σ_r d_r)` with slack `s = c − cmin` and
+/// `d_r = min(n_r, s + 1)` (see "Run decomposition" in the
+/// [module docs](crate::dp)). Space is two error rows plus whatever the
+/// backtracking mode needs: `O(n c)` for the materialized split-point
+/// table, `O(n)` under divide and conquer —
 /// [`DpMode::Auto`](crate::dp::DpMode::Auto) picks between them, so no
 /// input size is rejected.
 ///
@@ -67,9 +73,13 @@ pub fn size_bounded_naive(
     run(input, weights, c, false, DpOptions::default().with_strategy(DpStrategy::Scan), true)
 }
 
-/// The size-bounded driver: probes each stride of the strategy's
-/// schedule (one exact stride-1 probe unless the strategy is
-/// `Approx(ε > 0)`) until a partition certifies, accumulating the work
+/// The size-bounded driver. Exact pruned runs (every strategy but
+/// `Approx(ε > 0)`) over an input with breaks decompose into its
+/// break-free runs (see [`runs`](super::runs)). Gap-free inputs,
+/// `Approx(ε > 0)` runs and the unpruned baseline solve the whole input
+/// as one range, probing each stride of
+/// the strategy's schedule (one exact stride-1 probe unless the strategy
+/// is `Approx(ε > 0)`) until a partition certifies, accumulating the work
 /// counters across probes. The split-point table (or the
 /// divide-and-conquer scratch) and the value rows are allocated once and
 /// `∞`-reset between probes.
@@ -103,46 +113,11 @@ fn run(
         return Ok(DpOutcome::identity(input, engine.strategy, engine.pool.threads()));
     }
 
-    let width = n + 1;
     let table = opts.mode.materializes_table(n, c);
-    let mut jm = if table { vec![0usize; c * width] } else { Vec::new() };
-    let mut rows = engine.rows();
-    // Divide and conquer fills a backward scratch beside the forward one.
-    let mut bwd = (!table).then(|| engine.rows());
-    let (peak, mode) = match &bwd {
-        None => (c + rows.count(), DpExecMode::Table),
-        Some(bwd) => (rows.count() + bwd.count(), DpExecMode::DivideConquer),
-    };
-    let mut cells = Cells::default();
-    let mut rows_done = 0usize;
-    for stride in engine.strides(c) {
-        let part = match &mut bwd {
-            None => {
-                for k in 1..=c {
-                    let splits = &mut jm[(k - 1) * width..k * width];
-                    cells += engine.step_fwd(k, 0, n, stride, &mut rows, Some(splits)).map_err(
-                        // Rows 1..k − 1 of this probe completed before the abort.
-                        |e| {
-                            e.with_dp_progress(engine.progress(
-                                rows_done + k - 1,
-                                cells,
-                                peak,
-                                mode,
-                            ))
-                        },
-                    )?;
-                }
-                rows_done += c;
-                Partition {
-                    boundaries: engine.backtrack(&jm, c),
-                    value: rows.value(n),
-                    lower: rows.lower(n),
-                }
-            }
-            Some(bwd) => engine
-                .dnc_boundaries(stride, c, &mut rows, bwd, &mut cells, &mut rows_done)
-                .map_err(|e| e.with_dp_progress(engine.progress(rows_done, cells, peak, mode)))?,
-        };
+    // SSE bits depend only on the boundaries: every path rebuilds the
+    // reduction from the global prefix stats. Exact partitions must
+    // reproduce their DP value.
+    let reduce = |part: &Partition, exact: bool| {
         let reduction = Reduction::from_boundaries_with_policy(
             input,
             weights,
@@ -151,20 +126,126 @@ fn run(
             opts.policy,
         )?;
         debug_assert!(
-            stride > 1 || (reduction.sse() - part.value).abs() <= 1e-6 * (1.0 + part.value),
+            !exact || (reduction.sse() - part.value).abs() <= 1e-6 * (1.0 + part.value),
             "reconstructed SSE {} deviates from DP optimum {}",
             reduction.sse(),
             part.value
         );
+        Ok::<_, CoreError>(reduction)
+    };
+    if prune && engine.approx_eps().is_none() && engine.gaps.count() > 0 {
+        let (part, stats) = runs::size_bounded_by_runs(&engine, c, table)?;
+        return Ok(DpOutcome { reduction: reduce(&part, true)?, stats });
+    }
+    let mut solver = RangeSolver::new(&engine, 0, n, c, table);
+    let (peak, mode) = (solver.peak(), solver.mode());
+    let mut cells = Cells::default();
+    let mut rows_done = 0usize;
+    for stride in engine.strides(c) {
+        let part = solver
+            .solve(stride, &mut cells, &mut rows_done)
+            .map_err(|e| e.with_dp_progress(engine.progress(rows_done, cells, peak, mode)))?;
+        let reduction = reduce(&part, stride == 1)?;
         if let Some(ratio) = engine.certify(stride, reduction.sse(), part.lower) {
             let stats = engine.run_stats(rows_done, cells, peak, mode, ratio);
             return Ok(DpOutcome { reduction, stats });
         }
-        rows.reset(0..=n);
+        solver.reset();
     }
     // pta-lint: allow(no-panic-in-lib) — the last probe is the exact stride
     // 1, which certifies unconditionally.
     unreachable!("the exact stride-1 probe always certifies")
+}
+
+/// How a [`RangeSolver`] recovers its split points.
+enum Recovery {
+    /// A materialized split-point table: `c` rows over the range's cells.
+    Table(Vec<usize>),
+    /// Divide and conquer, with its backward scratch rows.
+    DivideConquer(Rows),
+}
+
+/// The single-range size-bounded DP (Fig. 7): partitions the tuple range
+/// `lo..hi` into `c` pieces, recovering the split points from a
+/// materialized table or by divide and conquer. It owns its scratch —
+/// rows covering only `lo..=hi`, so a run's solver costs `O(n_r)` memory
+/// plus its table — and reuses it across probes. Over `0..n` it is the
+/// classic whole-input DP.
+pub(crate) struct RangeSolver<'e> {
+    engine: &'e DpEngine,
+    c: usize,
+    fwd: Rows,
+    recovery: Recovery,
+}
+
+impl<'e> RangeSolver<'e> {
+    /// Scratch for partitioning `lo..hi` into `c` pieces, with a split-point
+    /// table when `table` holds and divide-and-conquer rows otherwise.
+    pub(crate) fn new(engine: &'e DpEngine, lo: usize, hi: usize, c: usize, table: bool) -> Self {
+        let recovery = if table {
+            Recovery::Table(vec![0usize; c * (hi - lo + 1)])
+        } else {
+            Recovery::DivideConquer(engine.rows_over(lo, hi))
+        };
+        Self { engine, c, fwd: engine.rows_over(lo, hi), recovery }
+    }
+
+    /// Rows held at once: the `c` split-point rows beside the two value
+    /// rows, or the four divide-and-conquer scratch rows (twice that on an
+    /// `Approx(ε > 0)` probe, which carries lower-bracket rows).
+    pub(crate) fn peak(&self) -> usize {
+        match &self.recovery {
+            Recovery::Table(_) => self.c + self.fwd.count(),
+            Recovery::DivideConquer(bwd) => self.fwd.count() + bwd.count(),
+        }
+    }
+
+    /// The backtracking mode this solver runs.
+    pub(crate) fn mode(&self) -> DpExecMode {
+        match self.recovery {
+            Recovery::Table(_) => DpExecMode::Table,
+            Recovery::DivideConquer(_) => DpExecMode::DivideConquer,
+        }
+    }
+
+    /// One probe at `stride`: the partition and its value (optimal at
+    /// stride 1). Work accumulates into `cells` and `rows` as each row
+    /// completes, so an abort leaves honest partial counters behind.
+    // pta-lint: allow(cancel-coverage) — each row fill below polls the
+    // token inside fill_row_fwd/fill_row_bwd.
+    pub(crate) fn solve(
+        &mut self,
+        stride: usize,
+        cells: &mut Cells,
+        rows: &mut usize,
+    ) -> Result<Partition, CoreError> {
+        let engine = self.engine;
+        let (lo, hi) = self.fwd.span();
+        match &mut self.recovery {
+            Recovery::Table(jm) => {
+                let width = hi - lo + 1;
+                for k in 1..=self.c {
+                    let splits = &mut jm[(k - 1) * width..k * width];
+                    *cells += engine.step_fwd(k, lo, hi, stride, &mut self.fwd, Some(splits))?;
+                    *rows += 1;
+                }
+                Ok(Partition {
+                    boundaries: engine.backtrack(jm, lo, hi, self.c),
+                    value: self.fwd.value(hi),
+                    lower: self.fwd.lower(hi),
+                })
+            }
+            Recovery::DivideConquer(bwd) => {
+                engine.dnc_boundaries(stride, self.c, &mut self.fwd, bwd, cells, rows)
+            }
+        }
+    }
+
+    /// `∞`-resets the value rows between probes.
+    fn reset(&mut self) {
+        let (lo, hi) = self.fwd.span();
+        self.fwd.reset(lo..=hi);
+    }
 }
 
 #[cfg(test)]
@@ -220,8 +301,15 @@ mod tests {
                 size_bounded_with_opts(&input, &w, c, with_mode(DpMode::DivideConquer)).unwrap();
             assert_eq!(table.stats.mode, DpExecMode::Table);
             assert_eq!(dnc.stats.mode, DpExecMode::DivideConquer);
-            assert_eq!(table.stats.peak_rows, c + 2);
-            assert_eq!(dnc.stats.peak_rows, 4);
+            // The runs are s1..s5, s6 and s7. At c = cmin = 3 every run
+            // is forced to one piece and nothing is allocated; above it
+            // s1..s5 is the only free run and takes c − 2 pieces: its
+            // c − 2 split-point rows beside two value rows, or the four
+            // divide-and-conquer rows, each of 6 entries — in 8-entry
+            // (n + 1) rows, rounded up.
+            let (table_peak, dnc_peak) = if c == 3 { (0, 0) } else { ((6 * c).div_ceil(8), 3) };
+            assert_eq!(table.stats.peak_rows, table_peak);
+            assert_eq!(dnc.stats.peak_rows, dnc_peak);
             assert_eq!(table.reduction.source_ranges(), dnc.reduction.source_ranges());
             assert!((table.reduction.sse() - dnc.reduction.sse()).abs() < 1e-9);
         }

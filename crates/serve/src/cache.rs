@@ -13,6 +13,7 @@
 //! back to a direct bounded-DP run under the same token.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pta_core::{
@@ -47,6 +48,9 @@ pub struct GroupEntry {
     cmin: usize,
     curve_depth: usize,
     curve: Mutex<Option<Arc<Vec<f64>>>>,
+    /// Set once the curve is stored. A fill holds `curve` for its whole
+    /// DP, so counting cached curves reads this flag instead of the lock.
+    cached: AtomicBool,
 }
 
 impl GroupEntry {
@@ -76,9 +80,10 @@ impl GroupEntry {
         self.emax
     }
 
-    /// Whether the error curve has been computed and cached.
+    /// Whether the error curve has been computed and cached. Never waits
+    /// on a fill in progress.
     pub fn curve_cached(&self) -> bool {
-        self.curve.lock().unwrap_or_else(PoisonError::into_inner).is_some()
+        self.cached.load(Ordering::Acquire)
     }
 
     /// The cached error curve, computing it under `cancel` on first use.
@@ -106,6 +111,7 @@ impl GroupEntry {
         )?;
         let curve = Arc::new(curve);
         *slot = Some(curve.clone());
+        self.cached.store(true, Ordering::Release);
         Ok(curve)
     }
 
@@ -204,6 +210,7 @@ impl GroupStore {
                 cmin,
                 curve_depth,
                 curve: Mutex::new(None),
+                cached: AtomicBool::new(false),
             });
             i = j;
         }
@@ -230,7 +237,8 @@ impl GroupStore {
         self.total_n
     }
 
-    /// How many groups currently hold a cached curve.
+    /// How many groups currently hold a cached curve. Lock-free, so
+    /// `stats` answers while curves fill.
     pub fn curves_cached(&self) -> usize {
         self.entries.iter().filter(|e| e.curve_cached()).count()
     }

@@ -41,7 +41,7 @@ pub use cache::{Answer, GroupEntry, GroupStore};
 pub use client::Client;
 pub use protocol::{ErrCode, QueryBound, Request, Response};
 pub use queue::BoundedQueue;
-pub use server::{Server, ServerConfig, ServerHandle, StatsSnapshot};
+pub use server::{Server, ServerConfig, ServerHandle, StatsSnapshot, MAX_REQUEST_LINE};
 
 /// Typed failures of the serve layer.
 #[derive(Debug)]

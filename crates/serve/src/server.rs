@@ -22,7 +22,7 @@
 //! errors each one and asserts the process survives with typed
 //! degradation only.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,6 +43,10 @@ use crate::ServeError;
 /// Accept-loop poll interval (the listener is non-blocking so shutdown
 /// is noticed within one tick).
 const POLL: Duration = Duration::from_millis(2);
+
+/// The longest request line the server reads, newline included. A longer
+/// line is answered `err bad-request` and its connection closed.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Server knobs; every one maps to a `pta-cli serve` flag.
 #[derive(Debug, Clone)]
@@ -378,12 +382,18 @@ fn serve_conn(ctx: &Ctx<'_>, stream: TcpStream, enqueued: Instant) {
         let line = match read_request(&mut reader) {
             Ok(Some(line)) => line,
             Ok(None) => return, // EOF: the client hung up.
+            Err(ReadFault::TooLong) => {
+                inc(&ctx.shared.stats.bad_requests);
+                let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let _ = send(ctx, &mut writer, &Response::err(ErrCode::BadRequest, &msg));
+                return;
+            }
             Err(fault) => {
                 inc(&ctx.shared.stats.read_faults);
                 let msg = match fault {
                     ReadFault::Injected(msg) => msg,
                     ReadFault::Timeout => "read deadline expired".to_string(),
-                    ReadFault::Other => return,
+                    ReadFault::TooLong | ReadFault::Other => return,
                 };
                 let _ = send(ctx, &mut writer, &Response::err(ErrCode::Io, &msg));
                 return;
@@ -536,15 +546,22 @@ enum ReadFault {
     Injected(String),
     /// The per-connection read deadline expired.
     Timeout,
+    /// The request line outgrew [`MAX_REQUEST_LINE`].
+    TooLong,
     /// Any other socket error; the connection is not answerable.
     Other,
 }
 
+/// Reads one request line of at most [`MAX_REQUEST_LINE`] bytes; `None`
+/// at EOF. A client that sends more without a newline gets
+/// [`ReadFault::TooLong`] once the cap is read, so one connection cannot
+/// grow the line buffer without bound.
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ReadFault> {
     fail_point!("serve.read", |msg: String| Err(ReadFault::Injected(msg)));
     let mut line = String::new();
-    match reader.read_line(&mut line) {
+    match reader.by_ref().take(MAX_REQUEST_LINE as u64).read_line(&mut line) {
         Ok(0) => Ok(None),
+        Ok(len) if len == MAX_REQUEST_LINE && !line.ends_with('\n') => Err(ReadFault::TooLong),
         Ok(_) => Ok(Some(line.trim().to_string())),
         Err(e)
             if matches!(

@@ -10,7 +10,7 @@ use pta_core::{
     pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_with_opts, DpExecMode, DpMode,
     DpOptions, Weights,
 };
-use pta_temporal::{GroupKey, SequentialBuilder, TimeInterval};
+use pta_temporal::{GroupKey, SequentialBuilder, SequentialRelation, TimeInterval};
 
 /// Default options with a pinned backtracking mode.
 fn with_mode(mode: DpMode) -> DpOptions {
@@ -152,6 +152,77 @@ fn size_bounded_modes_and_naive_agree_on_boundaries() {
                 dnc.stats.cells,
                 table.stats.cells
             );
+        }
+    }
+}
+
+/// A continuous-valued series whose break-free runs have the given
+/// lengths, in order: each run is consecutive instants, and one empty
+/// chronon separates it from the next.
+fn series_of_runs(seed: u64, lengths: &[usize]) -> SequentialRelation {
+    let mut state = seed;
+    let mut b = SequentialBuilder::new(1);
+    let mut t = 0i64;
+    for &len in lengths {
+        for _ in 0..len {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let v = (state >> 11) as f64 / (1u64 << 53) as f64;
+            b.push(GroupKey::empty(), TimeInterval::instant(t).unwrap(), &[v]).unwrap();
+            t += 1;
+        }
+        t += 1;
+    }
+    b.build()
+}
+
+/// The exact size-bounded DP solves inputs with breaks run by run and
+/// merges the runs' error curves. On the shapes that merge must handle —
+/// forced and free runs mixed, a single free run, and several free runs
+/// of unequal length (long enough that the run fills fan out across the
+/// pool) — every size from `cmin` to `n`, under every backtracking mode,
+/// returns the unpruned global DP's boundaries and SSE, bit-identically
+/// at one and at four threads.
+#[test]
+fn run_decomposition_matches_the_global_dp() {
+    let shapes: [(&str, Vec<usize>); 3] = [
+        ("singletons and pairs", vec![1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 2, 1, 1]),
+        ("one long run", vec![1, 1, 34, 1, 1, 1]),
+        ("unequal free runs", vec![9, 3, 52, 1, 22, 5, 2, 14]),
+    ];
+    for (seed, (name, lengths)) in shapes.into_iter().enumerate() {
+        let input = series_of_runs(1500 + seed as u64, &lengths);
+        let n = input.len();
+        assert_eq!(input.cmin(), lengths.len(), "{name}");
+        let w = Weights::uniform(1);
+        for c in input.cmin()..=n {
+            let naive = pta_size_bounded_naive(&input, &w, c).unwrap();
+            for mode in [DpMode::Table, DpMode::DivideConquer, DpMode::Budget(4 * (n + 1))] {
+                let run = |threads| {
+                    let opts = with_mode(mode).with_threads(threads);
+                    pta_size_bounded_with_opts(&input, &w, c, opts).unwrap()
+                };
+                let (one, four) = (run(1), run(4));
+                let tag = format!("{name} c {c} {mode:?}");
+                assert_eq!(
+                    one.reduction.source_ranges(),
+                    naive.reduction.source_ranges(),
+                    "{tag}: boundaries vs the global DP"
+                );
+                let (got, want) = (one.reduction.sse(), naive.reduction.sse());
+                assert!((got - want).abs() <= 1e-9 * want.max(1e-300), "{tag}: {got} vs {want}");
+                assert_eq!(one.reduction.source_ranges(), four.reduction.source_ranges(), "{tag}");
+                assert_eq!(one.reduction.sse().to_bits(), four.reduction.sse().to_bits(), "{tag}");
+                assert_eq!(
+                    (one.stats.rows, one.stats.cells, one.stats.scan_cells, one.stats.peak_rows),
+                    (
+                        four.stats.rows,
+                        four.stats.cells,
+                        four.stats.scan_cells,
+                        four.stats.peak_rows
+                    ),
+                    "{tag}: work counters depend on the thread budget"
+                );
+            }
         }
     }
 }

@@ -383,6 +383,39 @@ fn serve_queue_wait_shed_is_deterministic_under_injected_delay() {
     assert_eq!(stats.shed_queue_wait, 1, "{stats:?}");
 }
 
+/// `stats` never waits on a curve fill: with every DP row of group A's
+/// first fill slowed by an injected delay, a `stats` request on a second
+/// connection answers while the fill still holds the group's curve slot
+/// — before the filling `reduce` answers — and counts no cached curve.
+#[test]
+fn serve_stats_answers_while_a_curve_fill_is_in_flight() {
+    let _guard = serial();
+    let _clean = CleanRegistry::new();
+    let (handle, join) = start_serve(serve_config(16, 2));
+    // Group A's five-tuple curve fills five rows: about 0.6 s in all.
+    fail::cfg("dp.fill_row", "delay(120)").unwrap();
+    let addr = handle.addr();
+    let filler = std::thread::spawn(move || {
+        let resp = Client::connect(addr).expect("connect").request("reduce A c=4");
+        (resp, std::time::Instant::now())
+    });
+    // Let the second worker start the fill, then ask for stats.
+    std::thread::sleep(std::time::Duration::from_millis(150));
+    let mut observer = connect(&handle);
+    let stats_line = observer.request("stats").unwrap();
+    let stats_at = std::time::Instant::now();
+    let (reduce, reduce_at) = filler.join().expect("filling client");
+    let reduce = reduce.unwrap();
+    assert!(reduce.starts_with("ok group=A "), "got {reduce:?}");
+    assert!(stats_at < reduce_at, "stats waited for the fill: {stats_line:?}");
+    assert!(stats_line.contains("curves_cached=0"), "got {stats_line:?}");
+    fail::clear();
+    let after = observer.request("stats").unwrap();
+    assert!(after.contains("curves_cached=1"), "got {after:?}");
+    assert_eq!(observer.request("shutdown").unwrap(), "ok shutting-down");
+    join.join().expect("run() returns");
+}
+
 /// Fault-injected soak: concurrent clients, injected handler panics, and
 /// a shutdown mid-burst. Every response is the bit-identical `ok` line or
 /// a typed degradation; the server drains and returns.

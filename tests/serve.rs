@@ -13,6 +13,7 @@ use pta_core::{CancelToken, Weights};
 use pta_datasets::proj_relation;
 use pta_serve::{
     Client, GroupEntry, GroupStore, QueryBound, Server, ServerConfig, ServerHandle, StatsSnapshot,
+    MAX_REQUEST_LINE,
 };
 use pta_temporal::csv::parse_schema;
 use pta_temporal::TemporalRelation;
@@ -107,6 +108,42 @@ fn fault_free_wire_contract_end_to_end() {
     assert_eq!(final_stats.bad_requests, 1, "{final_stats:?}");
     assert_eq!(final_stats.handler_panics, 0, "{final_stats:?}");
     assert_eq!(final_stats.conn_panics, 0, "{final_stats:?}");
+}
+
+/// A request line longer than `MAX_REQUEST_LINE` is not buffered to its
+/// end: the server answers `err bad-request` once the cap is read and
+/// closes that connection, and other connections are served as before.
+#[test]
+fn over_long_request_line_is_rejected_and_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let relation = proj_relation();
+    let (handle, join) = start(ephemeral(16, 1), &relation);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // One byte past the cap and no newline: a client that never ends its
+    // line.
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert_eq!(
+        resp.trim_end(),
+        format!("err bad-request request line exceeds {MAX_REQUEST_LINE} bytes")
+    );
+    // The server closed the connection after answering.
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0, "connection should be closed");
+
+    // A line of exactly the cap, newline included, is still a request.
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let padded = format!("ping{}", " ".repeat(MAX_REQUEST_LINE - "ping\n".len()));
+    assert_eq!(client.request(&padded).unwrap(), "ok pong");
+    assert_eq!(client.request("shutdown").unwrap(), "ok shutting-down");
+    let stats = join.join().expect("run() returns");
+    assert_eq!(stats.bad_requests, 1, "{stats:?}");
+    assert_eq!(stats.read_faults, 0, "{stats:?}");
 }
 
 /// Admission control: a zero-capacity queue sheds every connection with a
