@@ -112,8 +112,10 @@
 //!   the forward row fill, over rows that cover only the run (`O(n_r)`
 //!   scratch), and keeps each row's last cell: its optimal SSE in
 //!   `1..=d_r` pieces. The runs fan out across the pool, one run per
-//!   job, heaviest first; a run carrying a `1/threads` share of the work
-//!   or more fills on the calling thread so its rows fan out instead.
+//!   job. When one run carries a `1/threads` share of the estimated
+//!   work or more, that run would hold one worker for most of the fill,
+//!   so the runs fill in order on the calling thread instead and each
+//!   run's rows fan out.
 //! * **Merge.** A min-plus merge of the curves splits the slack among the
 //!   free runs in `O(s · Σ_r d_r)`: each fold is windowed to the budget
 //!   the runs folded so far can absorb, and Hirschberg's scheme over the

@@ -20,8 +20,6 @@
 //! With at most one free run there is nothing to merge: that run takes
 //! the whole slack and the single-range solver partitions it.
 
-use std::cmp::Reverse;
-
 use super::size_bounded::RangeSolver;
 use super::{Cells, DpEngine, DpExecMode, DpStats, Partition, PAR_MIN_ROW_WORK};
 use crate::error::CoreError;
@@ -45,7 +43,7 @@ impl FreeRun {
     }
 
     /// Estimated split-point evaluations of `rows` row fills over the run:
-    /// the fan-out gate and the balance key, not an exact cost.
+    /// the fan-out gates, not an exact cost.
     fn work(&self, rows: usize) -> u64 {
         let n = self.len() as u64;
         n * n * rows as u64 / 2
@@ -194,12 +192,12 @@ pub(crate) fn size_bounded_by_runs(
 
 /// Runs `job` on every item and returns the results in item order (the
 /// first error in item order wins) with the work of every job that ran.
-/// When the estimated work pays for a fan-out, items carrying at least a
-/// `1/threads` share of it run first, one at a time on the calling
-/// thread, so their own row fills fan out; the rest go to the pool one
-/// item per job, heaviest first. Each job is the same computation
-/// wherever it runs, so results and counters do not depend on the
-/// thread budget.
+/// When the estimated work pays for a fan-out, the pool runs one item
+/// per job, unless one item carries a `1/threads` share of it or more:
+/// such an item would hold a single worker for most of the run, so the
+/// items run in order on the calling thread instead, where each item's
+/// own row fills fan out. Each job is the same computation wherever it
+/// runs, so results and counters do not depend on the thread budget.
 // pta-lint: allow(cancel-coverage) — every job polls the token inside its
 // row fills.
 fn fan_out<T: Send, R: Send>(
@@ -208,36 +206,35 @@ fn fan_out<T: Send, R: Send>(
     weight: impl Fn(&T) -> u64,
     job: impl Fn(T, &mut Work) -> Result<R, CoreError> + Sync,
 ) -> (Result<Vec<R>, CoreError>, Work) {
-    let run = |(i, item): (usize, T)| {
+    let run = |item: T| {
         let mut work = Work::default();
         let out = job(item, &mut work);
-        (i, out, work)
+        (out, work)
     };
-    let weights: Vec<u64> = items.iter().map(weight).collect();
-    let total: u64 = weights.iter().sum();
+    let total: u64 = items.iter().map(&weight).sum();
     let threads = engine.pool.threads() as u64;
-    let mut outs = Vec::with_capacity(items.len());
-    if threads > 1 && total >= PAR_MIN_ROW_WORK && !pta_pool::in_worker() {
-        let (heavy, mut light): (Vec<_>, Vec<_>) =
-            items.into_iter().enumerate().partition(|&(i, _)| weights[i] * threads >= total);
-        light.sort_by_key(|&(i, _)| Reverse(weights[i]));
-        outs.extend(heavy.into_iter().map(run));
-        outs.extend(engine.pool.map(light, run));
-        outs.sort_by_key(|&(i, ..)| i);
+    let outs = if threads > 1
+        && total >= PAR_MIN_ROW_WORK
+        && !pta_pool::in_worker()
+        && items.iter().all(|item| weight(item) * threads < total)
+    {
+        engine.pool.map(items, run)
     } else {
-        for item in items.into_iter().enumerate() {
+        let mut outs = Vec::with_capacity(items.len());
+        for item in items {
             let out = run(item);
-            let failed = out.1.is_err();
+            let failed = out.0.is_err();
             outs.push(out);
             if failed {
                 break;
             }
         }
-    }
+        outs
+    };
     let mut spent = Work::default();
     let mut results = Vec::with_capacity(outs.len());
     let mut first_err = None;
-    for (_, out, work) in outs {
+    for (out, work) in outs {
         spent += work;
         match out {
             Ok(v) => results.push(v),

@@ -555,14 +555,20 @@ enum ReadFault {
 /// Reads one request line of at most [`MAX_REQUEST_LINE`] bytes; `None`
 /// at EOF. A client that sends more without a newline gets
 /// [`ReadFault::TooLong`] once the cap is read, so one connection cannot
-/// grow the line buffer without bound.
+/// grow the line buffer without bound. The line is decoded only after
+/// the cap is checked, since the cap may fall inside a UTF-8 character.
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ReadFault> {
     fail_point!("serve.read", |msg: String| Err(ReadFault::Injected(msg)));
-    let mut line = String::new();
-    match reader.by_ref().take(MAX_REQUEST_LINE as u64).read_line(&mut line) {
+    let mut line = Vec::new();
+    match reader.by_ref().take(MAX_REQUEST_LINE as u64).read_until(b'\n', &mut line) {
         Ok(0) => Ok(None),
-        Ok(len) if len == MAX_REQUEST_LINE && !line.ends_with('\n') => Err(ReadFault::TooLong),
-        Ok(_) => Ok(Some(line.trim().to_string())),
+        Ok(len) if len == MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
+            Err(ReadFault::TooLong)
+        }
+        Ok(_) => match String::from_utf8(line) {
+            Ok(line) => Ok(Some(line.trim().to_string())),
+            Err(_) => Err(ReadFault::Other),
+        },
         Err(e)
             if matches!(
                 e.kind(),

@@ -177,24 +177,31 @@ fn series_of_runs(seed: u64, lengths: &[usize]) -> SequentialRelation {
 
 /// The exact size-bounded DP solves inputs with breaks run by run and
 /// merges the runs' error curves. On the shapes that merge must handle —
-/// forced and free runs mixed, a single free run, and several free runs
-/// of unequal length (long enough that the run fills fan out across the
-/// pool) — every size from `cmin` to `n`, under every backtracking mode,
-/// returns the unpruned global DP's boundaries and SSE, bit-identically
-/// at one and at four threads.
+/// forced and free runs mixed, a single free run, several free runs of
+/// unequal length (one long enough to fill on the calling thread with its
+/// rows fanned out), and free runs of comparable length (filled one run
+/// per pool job) — every size from `cmin` to `n` (every 23rd on the
+/// last, widest shape), under every backtracking mode, returns the
+/// unpruned global DP's boundaries and SSE, bit-identically at one and
+/// at four threads.
 #[test]
 fn run_decomposition_matches_the_global_dp() {
-    let shapes: [(&str, Vec<usize>); 3] = [
-        ("singletons and pairs", vec![1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 2, 1, 1]),
-        ("one long run", vec![1, 1, 34, 1, 1, 1]),
-        ("unequal free runs", vec![9, 3, 52, 1, 22, 5, 2, 14]),
+    let shapes: [(&str, Vec<usize>, usize); 4] = [
+        (
+            "singletons and pairs",
+            vec![1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 2, 1, 1],
+            1,
+        ),
+        ("one long run", vec![1, 1, 34, 1, 1, 1], 1),
+        ("unequal free runs", vec![9, 3, 52, 1, 22, 5, 2, 14], 1),
+        ("comparable free runs", vec![40, 2, 38, 1, 42, 3, 36, 1, 39, 37], 23),
     ];
-    for (seed, (name, lengths)) in shapes.into_iter().enumerate() {
+    for (seed, (name, lengths, step)) in shapes.into_iter().enumerate() {
         let input = series_of_runs(1500 + seed as u64, &lengths);
         let n = input.len();
         assert_eq!(input.cmin(), lengths.len(), "{name}");
         let w = Weights::uniform(1);
-        for c in input.cmin()..=n {
+        for c in (input.cmin()..=n).step_by(step) {
             let naive = pta_size_bounded_naive(&input, &w, c).unwrap();
             for mode in [DpMode::Table, DpMode::DivideConquer, DpMode::Budget(4 * (n + 1))] {
                 let run = |threads| {

@@ -120,21 +120,25 @@ fn over_long_request_line_is_rejected_and_closed() {
 
     let relation = proj_relation();
     let (handle, join) = start(ephemeral(16, 1), &relation);
-    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     // One byte past the cap and no newline: a client that never ends its
-    // line.
-    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut resp = String::new();
-    reader.read_line(&mut resp).unwrap();
-    assert_eq!(
-        resp.trim_end(),
-        format!("err bad-request request line exceeds {MAX_REQUEST_LINE} bytes")
-    );
-    // The server closed the connection after answering.
-    let mut rest = Vec::new();
-    assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0, "connection should be closed");
+    // line. Then a cap that falls inside a three-byte character.
+    let mut cut_char = vec![b'x'; MAX_REQUEST_LINE - 1];
+    cut_char.extend_from_slice("€".as_bytes());
+    for payload in [vec![b'x'; MAX_REQUEST_LINE + 1], cut_char] {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream.write_all(&payload).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert_eq!(
+            resp.trim_end(),
+            format!("err bad-request request line exceeds {MAX_REQUEST_LINE} bytes")
+        );
+        // The server closed the connection after answering.
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0, "connection should be closed");
+    }
 
     // A line of exactly the cap, newline included, is still a request.
     let mut client = Client::connect(handle.addr()).expect("connect");
@@ -142,7 +146,7 @@ fn over_long_request_line_is_rejected_and_closed() {
     assert_eq!(client.request(&padded).unwrap(), "ok pong");
     assert_eq!(client.request("shutdown").unwrap(), "ok shutting-down");
     let stats = join.join().expect("run() returns");
-    assert_eq!(stats.bad_requests, 1, "{stats:?}");
+    assert_eq!(stats.bad_requests, 2, "{stats:?}");
     assert_eq!(stats.read_faults, 0, "{stats:?}");
 }
 
