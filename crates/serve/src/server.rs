@@ -548,7 +548,8 @@ enum ReadFault {
     Timeout,
     /// The request line outgrew [`MAX_REQUEST_LINE`].
     TooLong,
-    /// Any other socket error; the connection is not answerable.
+    /// Any other socket error, or a line within the cap that is not
+    /// UTF-8; the connection is closed unanswered.
     Other,
 }
 
