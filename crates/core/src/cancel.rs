@@ -8,7 +8,7 @@
 //! of work instead of running to completion. A fired token surfaces as
 //! the typed errors [`CoreError::Cancelled`] /
 //! [`CoreError::DeadlineExceeded`], both carrying the partial-progress
-//! [`DpStats`](crate::dp::DpStats) of the aborted run.
+//! [`DpStats`] of the aborted run.
 //!
 //! The default token is *inert*: no allocation, and
 //! [`CancelToken::check`] is a handful of branches — cheap enough to sit

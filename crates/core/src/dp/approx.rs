@@ -5,7 +5,7 @@
 //! Segment SSE violates the quadrangle inequality on unsorted data, so
 //! flat and uniform inputs fail the Monge certificate and the exact scan
 //! stays `O(c · n²)`. `Approx(ε)` sparsifies the candidates instead. The
-//! row fills of [`super::DpEngine`] take a grid stride `b`: each open
+//! row fills of the DP engine take a grid stride `b`: each open
 //! window solves only the cells on a uniform grid of stride `b` (plus
 //! the window edges), and each solved cell scans only the grid-aligned
 //! split candidates (plus the window's `jbound`). A row fill therefore
@@ -38,7 +38,7 @@
 //!
 //! A probe at stride `b` is accepted only when the delivered SSE is
 //! within `(1 + ε)` of the lower bound; the drivers refine `b` through
-//! [`probe_strides`] and fall back to `b = 1`, which evaluates every
+//! `probe_strides` and fall back to `b = 1`, which evaluates every
 //! cell and every candidate — the exact scan, update for update, hence
 //! accepted unconditionally — so the certificate
 //! `certified_ratio ≤ 1 + ε` holds on every completed run,

@@ -55,7 +55,7 @@
 //!
 //! * the **grid stride** `b`: 1 for the exact strategies — every cell
 //!   over every candidate — and, for `Approx(ε > 0)`, each stride of the
-//!   [`approx::probe_strides`] schedule in turn, whose fills solve only
+//!   `approx::probe_strides` schedule in turn, whose fills solve only
 //!   the grid cells over the grid candidates;
 //! * the optional **lower-bracket row** `lb`, carried beside the value
 //!   row by `Approx(ε > 0)` runs only; it certifies their result (see
@@ -260,7 +260,7 @@ pub struct DpOptions {
     /// process-wide default ([`pta_pool::default_threads`], i.e. the
     /// `PTA_THREADS` knob). Every budget produces bit-identical results —
     /// parallelism splits rows into the same per-cell computations the
-    /// sequential scan performs (see [`DpEngine::fill_row_fwd`]).
+    /// sequential scan performs (see `DpEngine::fill_row_fwd`).
     pub threads: usize,
     /// Cooperative cancellation handle, polled at row/window granularity.
     /// The default token is inert (the run can never be interrupted);

@@ -35,10 +35,10 @@
 //! Two engines are provided, both driving an abstract
 //! `|i, j| prev[j] + range_sse(j..i)` cost oracle:
 //!
-//! * [`RowMinEngine::Smawk`] — the SMAWK algorithm with the standard
+//! * `RowMinEngine::Smawk` — the SMAWK algorithm with the standard
 //!   REDUCE/INTERPOLATE recursion, `O(rows + cols)` evaluations. The
 //!   production engine.
-//! * [`RowMinEngine::DivideConquer`] — divide-and-conquer optimization
+//! * `RowMinEngine::DivideConquer` — divide-and-conquer optimization
 //!   (solve the middle row by scan, recurse left/right with narrowed
 //!   column bounds), `O((rows + cols) · log rows)` evaluations. The
 //!   simpler fallback: no per-recursion column vectors, so a pinned
@@ -49,7 +49,7 @@
 //!
 //! A DP window is triangular (`j < i` forward, `j > i` backward), but the
 //! engines want a rectangular matrix. Invalid cells are padded with
-//! [`pad`]: a *graded* penalty `2⁹⁰⁰ · (distance + 1)`. Grading (instead
+//! `pad`: a *graded* penalty `2⁹⁰⁰ · (distance + 1)`. Grading (instead
 //! of a flat `∞`) keeps the padded matrix genuinely Monge, and the
 //! power-of-two unit makes every pad value and pad difference exactly
 //! representable, so padding can never flip a floating-point comparison —
@@ -81,11 +81,11 @@
 //! cross-`DpMode` suite treats non-unique optima.
 //!
 //! Two guards keep pathological magnitudes out of the engines entirely:
-//! [`pads_dominate`] rejects (→ scan) any window whose cost bound comes
+//! `pads_dominate` rejects (→ scan) any window whose cost bound comes
 //! within 2³⁰ of the pad range — the regime where catastrophic
 //! cancellation could also dwarf the QI tolerance — and debug builds
 //! additionally sample each window with the quadrangle-inequality
-//! validator ([`validate_qi`]), falling back to the scan when mixed
+//! validator (`validate_qi`), falling back to the scan when mixed
 //! dynamic range breaks the computed inequality by more than rounding
 //! ulps.
 

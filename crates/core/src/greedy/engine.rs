@@ -1,9 +1,10 @@
 //! Shared machinery of the greedy algorithms: segment list + indexed heap
 //! + gap bookkeeping.
 
-use std::collections::HashMap;
-
-use pta_temporal::{GroupId, GroupKey, SequentialRelation, TemporalError, TimeInterval};
+use pta_temporal::{
+    GroupId, GroupInterner, GroupKey, SequentialBuilder, SequentialRelation, TemporalError,
+    TimeInterval,
+};
 
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
@@ -27,8 +28,9 @@ pub(crate) struct GreedyEngine {
     pub(crate) cancel: CancelToken,
     pub(crate) list: SegmentList,
     pub(crate) heap: IndexedMinHeap,
-    group_keys: Vec<GroupKey>,
-    group_ids: HashMap<GroupKey, GroupId>,
+    /// The key table the output relation takes over: interned from pushed
+    /// keys, or the input's table for offline runs.
+    groups: GroupInterner,
     next_id: u64,
     next_src: usize,
     /// Id of the last node inserted with an infinite key — the paper's
@@ -55,13 +57,12 @@ impl std::fmt::Debug for GreedyEngine {
 impl GreedyEngine {
     pub(crate) fn with_policy(weights: Weights, policy: GapPolicy) -> Self {
         Self {
+            list: SegmentList::new(weights.dims()),
             weights,
             policy,
             cancel: CancelToken::default(),
-            list: SegmentList::new(),
             heap: IndexedMinHeap::new(),
-            group_keys: Vec::new(),
-            group_ids: HashMap::new(),
+            groups: GroupInterner::new(),
             next_id: 0,
             next_src: 0,
             last_gap_id: 0,
@@ -78,13 +79,43 @@ impl GreedyEngine {
         self.list.len()
     }
 
-    /// Ingests one ITA tuple (Fig. 11 lines 5–12). Returns its slot.
-    pub(crate) fn push_row(
+    /// Takes over `input`'s key table, so that its rows can be pushed by
+    /// group id (offline runs).
+    pub(crate) fn use_groups_of(&mut self, input: &SequentialRelation) {
+        debug_assert!(self.groups.is_empty() && self.list.is_empty());
+        self.groups = GroupInterner::from_keys(input.group_keys().to_vec());
+    }
+
+    /// Ingests one streamed ITA tuple of group `key`. The key map is
+    /// consulted only when `key` is not the tail node's group.
+    pub(crate) fn push_key(
         &mut self,
         key: &GroupKey,
         interval: TimeInterval,
         values: &[f64],
     ) -> Result<u32, CoreError> {
+        self.check_row(values)?;
+        let tail = self.list.tail();
+        let group = match (tail != NIL).then(|| self.list.node(tail).group) {
+            Some(g) if self.groups.key(g) == Some(key) => g,
+            _ => self.groups.intern(key.clone()),
+        };
+        self.append(group, interval, values)
+    }
+
+    /// Ingests tuple `i` of the relation whose key table the engine took
+    /// over ([`GreedyEngine::use_groups_of`]).
+    pub(crate) fn push_entry(
+        &mut self,
+        input: &SequentialRelation,
+        i: usize,
+    ) -> Result<u32, CoreError> {
+        let values = input.values(i);
+        self.check_row(values)?;
+        self.append(input.group(i), input.interval(i), values)
+    }
+
+    fn check_row(&self, values: &[f64]) -> Result<(), CoreError> {
         self.cancel.check()?;
         if values.len() != self.weights.dims() {
             return Err(CoreError::Temporal(TemporalError::DimensionMismatch {
@@ -92,35 +123,35 @@ impl GreedyEngine {
                 expected: self.weights.dims(),
             }));
         }
-        let src = self.next_src;
-        for (d, v) in values.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(CoreError::Temporal(TemporalError::NonFiniteValue {
-                    context: format!("streamed row {src}, dimension {d}"),
-                }));
-            }
+        match values.iter().position(|v| !v.is_finite()) {
+            Some(d) => Err(CoreError::Temporal(TemporalError::NonFiniteValue {
+                context: format!("streamed row {}, dimension {d}", self.next_src),
+            })),
+            None => Ok(()),
         }
-        // Resolve / intern the group and enforce stream order.
-        let tail = self.list.tail();
-        let group = match self.group_ids.get(key) {
-            Some(&gid) => {
-                if tail != NIL && self.list.node(tail).group != gid {
-                    return Err(CoreError::Temporal(TemporalError::NonSequential {
-                        index: src,
-                        reason: format!("group {key} reappears after another group"),
-                    }));
-                }
-                gid
-            }
-            None => {
-                let gid = self.group_keys.len() as GroupId;
-                self.group_keys.push(key.clone());
-                self.group_ids.insert(key.clone(), gid);
-                gid
-            }
+    }
+
+    /// Appends a checked row of group `group` (Fig. 11 lines 5–12),
+    /// enforcing stream order. Returns its slot.
+    fn append(
+        &mut self,
+        group: GroupId,
+        interval: TimeInterval,
+        values: &[f64],
+    ) -> Result<u32, CoreError> {
+        let src = self.next_src;
+        let Some(key) = self.groups.key(group) else {
+            return Err(CoreError::Temporal(TemporalError::UnknownGroup(group)));
         };
+        let tail = self.list.tail();
         let merge_key = if tail != NIL {
             let t = self.list.node(tail);
+            if group < t.group {
+                return Err(CoreError::Temporal(TemporalError::NonSequential {
+                    index: src,
+                    reason: format!("group {key} reappears after another group"),
+                }));
+            }
             if t.group == group {
                 if interval.start() <= t.interval.end() {
                     return Err(CoreError::Temporal(TemporalError::NonSequential {
@@ -132,7 +163,7 @@ impl GreedyEngine {
                     }));
                 }
                 if self.policy.mergeable_raw(true, t.interval.end(), interval.start()) {
-                    dsim(&self.weights, t.len, &t.values, interval.len(), values)
+                    dsim(&self.weights, t.len, self.list.values(tail), interval.len(), values)
                 } else {
                     f64::INFINITY
                 }
@@ -146,7 +177,7 @@ impl GreedyEngine {
         self.next_id += 1;
         self.next_src += 1;
         let id = self.next_id;
-        let slot = self.list.push_back(id, group, interval, values.to_vec(), src);
+        let slot = self.list.push_back(id, group, interval, values, src);
         self.heap.insert(slot, merge_key, id);
         if merge_key.is_infinite() {
             self.last_gap_id = id;
@@ -183,7 +214,13 @@ impl GreedyEngine {
                     pn.interval.end(),
                     s.interval.start(),
                 ) {
-                    dsim(&self.weights, pn.len, &pn.values, s.len, &s.values)
+                    dsim(
+                        &self.weights,
+                        pn.len,
+                        self.list.values(p),
+                        s.len,
+                        self.list.values(survivor),
+                    )
                 } else {
                     f64::INFINITY
                 }
@@ -200,7 +237,13 @@ impl GreedyEngine {
                 s.interval.end(),
                 nx.interval.start(),
             ) {
-                dsim(&self.weights, s.len, &s.values, nx.len, &nx.values)
+                dsim(
+                    &self.weights,
+                    s.len,
+                    self.list.values(survivor),
+                    nx.len,
+                    self.list.values(next),
+                )
             } else {
                 f64::INFINITY
             };
@@ -233,20 +276,11 @@ impl GreedyEngine {
         true
     }
 
-    /// Drains the list into a [`GreedyOutcome`].
+    /// Drains the list into a [`GreedyOutcome`]: the output rows name the
+    /// nodes' group ids, and the key table moves over as it is.
     // pta-lint: allow(cancel-coverage) — merge work is already done; this
     // only drains the final list (callers poll once per merge before it).
     pub(crate) fn into_outcome(self, clamped_to_cmin: bool) -> Result<GreedyOutcome, CoreError> {
-        let p = self.weights.dims();
-        let mut parts = Vec::with_capacity(self.list.len());
-        for (_, node) in self.list.iter() {
-            parts.push((
-                self.group_keys.get(node.group as usize).cloned().unwrap_or_else(GroupKey::empty),
-                node.interval,
-                node.values.clone(),
-                node.first_src..node.end_src,
-            ));
-        }
         let stats = GreedyStats {
             max_heap_size: self.max_live,
             merges: self.merges,
@@ -254,17 +288,14 @@ impl GreedyEngine {
             tuples_in: self.next_src,
             clamped_to_cmin,
         };
-        let reduction = Reduction::from_parts(p, parts, self.etot)?;
+        let n = self.list.len();
+        let mut builder = SequentialBuilder::with_groups(self.weights.dims(), n, self.groups);
+        let mut source_ranges = Vec::with_capacity(n);
+        for (slot, node) in self.list.iter() {
+            builder.push_id(node.group, node.interval, self.list.values(slot))?;
+            source_ranges.push(node.first_src..node.end_src);
+        }
+        let reduction = Reduction::new(builder.build(), source_ranges, self.etot);
         Ok(GreedyOutcome { reduction, stats })
-    }
-
-    /// Feeds every tuple of a sequential relation (offline use).
-    pub(crate) fn push_relation_row(
-        &mut self,
-        input: &SequentialRelation,
-        i: usize,
-    ) -> Result<u32, CoreError> {
-        let key = input.group_key(input.group(i))?.clone();
-        self.push_row(&key, input.interval(i), input.values(i))
     }
 }

@@ -155,8 +155,9 @@ fn load(
 ) -> Result<GreedyEngine, CoreError> {
     let mut engine = GreedyEngine::with_policy(weights.clone(), policy);
     engine.cancel = cancel;
+    engine.use_groups_of(input);
     for i in 0..input.len() {
-        engine.push_relation_row(input, i)?;
+        engine.push_entry(input, i)?;
     }
     Ok(engine)
 }

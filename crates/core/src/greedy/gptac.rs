@@ -54,7 +54,12 @@ impl GPtaC {
         interval: TimeInterval,
         values: &[f64],
     ) -> Result<(), CoreError> {
-        self.engine.push_row(key, interval, values)?;
+        self.engine.push_key(key, interval, values)?;
+        self.merge_ready()
+    }
+
+    /// The merges Prop. 3 / the δ heuristic permit after a push.
+    fn merge_ready(&mut self) -> Result<(), CoreError> {
         while self.engine.live() > self.c {
             self.engine.cancel.check()?;
             let Some((slot, key, _)) = self.engine.heap.peek() else { break };
@@ -140,9 +145,10 @@ impl GPtaC {
             return Err(CoreError::SizeBelowMinimum { requested: c, cmin });
         }
         let mut alg = GPtaC::with_policy(weights.clone(), c, delta, policy).with_cancel(cancel);
+        alg.engine.use_groups_of(input);
         for i in 0..input.len() {
-            let key = input.group_key(input.group(i))?.clone();
-            alg.push(&key, input.interval(i), input.values(i))?;
+            alg.engine.push_entry(input, i)?;
+            alg.merge_ready()?;
         }
         alg.finish()
     }

@@ -89,7 +89,18 @@ impl GPtaE {
         interval: TimeInterval,
         values: &[f64],
     ) -> Result<(), CoreError> {
-        let slot = self.engine.push_row(key, interval, values)?;
+        let slot = self.engine.push_key(key, interval, values)?;
+        self.absorb(slot, interval, values)
+    }
+
+    /// Segment accounting and the merges within the average budget after
+    /// the row in `slot` arrived.
+    fn absorb(
+        &mut self,
+        slot: u32,
+        interval: TimeInterval,
+        values: &[f64],
+    ) -> Result<(), CoreError> {
         if self.engine.heap.key(slot).is_infinite() {
             // The row opened a new maximal adjacent run.
             self.close_segment();
@@ -170,16 +181,19 @@ impl GPtaE {
         delta: Delta,
         estimates: Option<Estimates>,
     ) -> Result<GreedyOutcome, CoreError> {
-        Self::run_with_cancel(input, weights, epsilon, delta, estimates, CancelToken::inert())
+        let (policy, cancel) = (GapPolicy::Strict, CancelToken::inert());
+        Self::run_with_cancel(input, weights, epsilon, delta, estimates, policy, cancel)
     }
 
-    /// [`GPtaE::run`] under a [`CancelToken`].
+    /// [`GPtaE::run`] under a mergeability policy and a [`CancelToken`].
+    /// The rows enter by group id, so no key is hashed.
     pub fn run_with_cancel(
         input: &SequentialRelation,
         weights: &Weights,
         epsilon: f64,
         delta: Delta,
         estimates: Option<Estimates>,
+        policy: GapPolicy,
         cancel: CancelToken,
     ) -> Result<GreedyOutcome, CoreError> {
         weights.check_dims(input.dims())?;
@@ -187,10 +201,12 @@ impl GPtaE {
             Some(e) => e,
             None => Estimates::exact(input, weights)?,
         };
-        let mut alg = GPtaE::new(weights.clone(), epsilon, delta, est)?.with_cancel(cancel);
+        let mut alg =
+            GPtaE::with_policy(weights.clone(), epsilon, delta, est, policy)?.with_cancel(cancel);
+        alg.engine.use_groups_of(input);
         for i in 0..input.len() {
-            let key = input.group_key(input.group(i))?.clone();
-            alg.push(&key, input.interval(i), input.values(i))?;
+            let slot = alg.engine.push_entry(input, i)?;
+            alg.absorb(slot, input.interval(i), input.values(i))?;
         }
         alg.finish()
     }

@@ -3,7 +3,8 @@
 //! Each node mirrors the paper's heap-node structure (§6.2.2): the
 //! sequence number `id`, the current (possibly merged) tuple, and `prev`/
 //! `next` links in chronological order. Merged nodes return to a free list
-//! so the live memory of the streaming algorithms stays `O(c + β)`.
+//! so the live memory of the streaming algorithms stays `O(c + β)`. The
+//! nodes' aggregate values live in one flat buffer, `p` values per slot.
 
 use pta_temporal::{GroupId, TimeInterval};
 
@@ -12,8 +13,9 @@ use crate::merge::merge_values_into;
 /// Sentinel link.
 pub const NIL: u32 = u32::MAX;
 
-/// One live segment: a run of already-merged ITA tuples.
-#[derive(Debug, Clone)]
+/// One live segment: a run of already-merged ITA tuples. Its values are
+/// [`SegmentList::values`] of its slot.
+#[derive(Debug, Clone, Copy)]
 pub struct Node {
     /// Sequence number of the node's first ITA tuple (1-based arrival
     /// order). `MERGE` keeps the surviving node's id unchanged, matching
@@ -25,8 +27,6 @@ pub struct Node {
     pub interval: TimeInterval,
     /// Cached `interval.len()`.
     pub len: u64,
-    /// Current merged aggregate values.
-    pub values: Vec<f64>,
     /// First source-tuple index (0-based) merged into this node.
     pub first_src: usize,
     /// One past the last source-tuple index merged into this node.
@@ -38,9 +38,12 @@ pub struct Node {
 }
 
 /// The linked list with slot reuse.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SegmentList {
+    p: usize,
     nodes: Vec<Node>,
+    /// Slot `s`'s values are `values[s·p..(s + 1)·p]`.
+    values: Vec<f64>,
     free: Vec<u32>,
     head: u32,
     tail: u32,
@@ -48,9 +51,17 @@ pub struct SegmentList {
 }
 
 impl SegmentList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        Self { nodes: Vec::new(), free: Vec::new(), head: NIL, tail: NIL, len: 0 }
+    /// Creates an empty list of `p`-dimensional segments.
+    pub fn new(p: usize) -> Self {
+        Self {
+            p,
+            nodes: Vec::new(),
+            values: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
     }
 
     /// Number of live segments.
@@ -79,21 +90,28 @@ impl SegmentList {
         &self.nodes[slot as usize]
     }
 
+    /// The current merged aggregate values of the node in `slot`.
+    #[inline]
+    pub fn values(&self, slot: u32) -> &[f64] {
+        let at = slot as usize * self.p;
+        &self.values[at..at + self.p]
+    }
+
     /// Appends a fresh segment at the tail, returning its slot.
     pub fn push_back(
         &mut self,
         id: u64,
         group: GroupId,
         interval: TimeInterval,
-        values: Vec<f64>,
+        values: &[f64],
         src: usize,
     ) -> u32 {
+        debug_assert_eq!(values.len(), self.p);
         let node = Node {
             id,
             group,
             interval,
             len: interval.len(),
-            values,
             first_src: src,
             end_src: src + 1,
             prev: self.tail,
@@ -102,10 +120,13 @@ impl SegmentList {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.nodes[slot as usize] = node;
+                let at = slot as usize * self.p;
+                self.values[at..at + self.p].copy_from_slice(values);
                 slot
             }
             None => {
                 self.nodes.push(node);
+                self.values.extend_from_slice(values);
                 (self.nodes.len() - 1) as u32
             }
         };
@@ -130,12 +151,8 @@ impl SegmentList {
         let s = slot as usize;
         let prev_slot = self.nodes[s].prev;
         assert_ne!(prev_slot, NIL, "cannot merge the first segment");
-        let (next_slot, interval, len, end_src, group) = {
-            let n = &self.nodes[s];
-            (n.next, n.interval, n.len, n.end_src, n.group)
-        };
-        // Move the values out to satisfy the borrow checker cheaply.
-        let values = std::mem::take(&mut self.nodes[s].values);
+        let Node { next: next_slot, interval, len, end_src, group, .. } = self.nodes[s];
+        let (survivor, merged) = value_pair(&mut self.values, self.p, prev_slot, slot);
 
         let p = &mut self.nodes[prev_slot as usize];
         debug_assert_eq!(p.group, group);
@@ -143,7 +160,7 @@ impl SegmentList {
         // ordering is the only structural requirement here. Covered
         // duration is tracked separately in `len`.
         debug_assert!(p.interval.end() < interval.start(), "segments must be ordered");
-        p.len = merge_values_into(p.len, &mut p.values, len, &values);
+        p.len = merge_values_into(p.len, survivor, len, merged);
         p.interval = p.interval.span(&interval);
         p.end_src = end_src;
         p.next = next_slot;
@@ -160,6 +177,19 @@ impl SegmentList {
     /// Iterates the live segments head → tail.
     pub fn iter(&self) -> SegmentIter<'_> {
         SegmentIter { list: self, slot: self.head }
+    }
+}
+
+/// The `p` values of slot `dst` (mutable) and of a different slot `src`
+/// in a `p`-stride buffer.
+fn value_pair(values: &mut [f64], p: usize, dst: u32, src: u32) -> (&mut [f64], &[f64]) {
+    let (d, s) = (dst as usize * p, src as usize * p);
+    if d < s {
+        let (lo, hi) = values.split_at_mut(s);
+        (&mut lo[d..d + p], &hi[..p])
+    } else {
+        let (lo, hi) = values.split_at_mut(d);
+        (&mut hi[..p], &lo[s..s + p])
     }
 }
 
@@ -193,9 +223,9 @@ mod tests {
 
     #[test]
     fn push_links_chronologically() {
-        let mut l = SegmentList::new();
-        let a = l.push_back(1, 0, iv(1, 2), vec![800.0], 0);
-        let b = l.push_back(2, 0, iv(3, 3), vec![600.0], 1);
+        let mut l = SegmentList::new(1);
+        let a = l.push_back(1, 0, iv(1, 2), &[800.0], 0);
+        let b = l.push_back(2, 0, iv(3, 3), &[600.0], 1);
         assert_eq!(l.len(), 2);
         assert_eq!(l.head(), a);
         assert_eq!(l.tail(), b);
@@ -208,9 +238,9 @@ mod tests {
     /// [1,3]; the surviving node keeps the predecessor's id.
     #[test]
     fn merge_example_3() {
-        let mut l = SegmentList::new();
-        let a = l.push_back(1, 0, iv(1, 2), vec![800.0], 0);
-        let b = l.push_back(2, 0, iv(3, 3), vec![600.0], 1);
+        let mut l = SegmentList::new(1);
+        let a = l.push_back(1, 0, iv(1, 2), &[800.0], 0);
+        let b = l.push_back(2, 0, iv(3, 3), &[600.0], 1);
         let survivor = l.merge_into_prev(b);
         assert_eq!(survivor, a);
         assert_eq!(l.len(), 1);
@@ -218,28 +248,28 @@ mod tests {
         assert_eq!(n.id, 1);
         assert_eq!(n.interval, iv(1, 3));
         assert_eq!(n.len, 3);
-        assert!((n.values[0] - 733.333_333).abs() < 1e-4);
+        assert!((l.values(a)[0] - 733.333_333).abs() < 1e-4);
         assert_eq!((n.first_src, n.end_src), (0, 2));
         assert_eq!(n.next, NIL);
     }
 
     #[test]
     fn slots_are_reused() {
-        let mut l = SegmentList::new();
-        let _a = l.push_back(1, 0, iv(1, 1), vec![1.0], 0);
-        let b = l.push_back(2, 0, iv(2, 2), vec![2.0], 1);
+        let mut l = SegmentList::new(1);
+        let _a = l.push_back(1, 0, iv(1, 1), &[1.0], 0);
+        let b = l.push_back(2, 0, iv(2, 2), &[2.0], 1);
         l.merge_into_prev(b);
-        let c = l.push_back(3, 0, iv(3, 3), vec![3.0], 2);
+        let c = l.push_back(3, 0, iv(3, 3), &[3.0], 2);
         assert_eq!(c, b, "freed slot should be reused");
         assert_eq!(l.len(), 2);
     }
 
     #[test]
     fn merge_in_the_middle_relinks() {
-        let mut l = SegmentList::new();
-        let a = l.push_back(1, 0, iv(1, 1), vec![1.0], 0);
-        let b = l.push_back(2, 0, iv(2, 2), vec![2.0], 1);
-        let c = l.push_back(3, 0, iv(3, 3), vec![3.0], 2);
+        let mut l = SegmentList::new(1);
+        let a = l.push_back(1, 0, iv(1, 1), &[1.0], 0);
+        let b = l.push_back(2, 0, iv(2, 2), &[2.0], 1);
+        let c = l.push_back(3, 0, iv(3, 3), &[3.0], 2);
         l.merge_into_prev(b);
         assert_eq!(l.node(a).next, c);
         assert_eq!(l.node(c).prev, a);
@@ -251,8 +281,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot merge the first segment")]
     fn merging_head_panics() {
-        let mut l = SegmentList::new();
-        let a = l.push_back(1, 0, iv(1, 1), vec![1.0], 0);
+        let mut l = SegmentList::new(1);
+        let a = l.push_back(1, 0, iv(1, 1), &[1.0], 0);
         l.merge_into_prev(a);
     }
 }

@@ -2,7 +2,9 @@
 
 use std::ops::Range;
 
-use pta_temporal::{SequentialBuilder, SequentialRelation, TemporalError, TimeInterval};
+use pta_temporal::{
+    GroupInterner, SequentialBuilder, SequentialRelation, TemporalError, TimeInterval,
+};
 
 use crate::error::CoreError;
 use crate::policy::GapPolicy;
@@ -49,7 +51,8 @@ impl Reduction {
         debug_assert_eq!(boundaries.first().copied(), Some(0));
         debug_assert_eq!(boundaries.last().copied(), Some(n));
         let p = input.dims();
-        let mut builder = SequentialBuilder::with_capacity(p, boundaries.len() - 1);
+        let groups = GroupInterner::from_keys(input.group_keys().to_vec());
+        let mut builder = SequentialBuilder::with_groups(p, boundaries.len() - 1, groups);
         let mut source_ranges = Vec::with_capacity(boundaries.len() - 1);
         let mut values = vec![0.0; p];
         let mut sse = 0.0;
@@ -69,11 +72,9 @@ impl Reduction {
                 TimeInterval::new(input.interval(lo).start(), input.interval(hi - 1).end())?;
             stats.merged_values(lo..hi, &mut values);
             sse += stats.range_sse(weights, lo..hi);
-            let key = input.group_key(group)?.clone();
-            builder.push(key, interval, &values)?;
+            builder.push_id(group, interval, &values)?;
             source_ranges.push(lo..hi);
         }
-        builder.finish();
         Ok(Self { relation: builder.build(), source_ranges, sse })
     }
 
@@ -88,26 +89,24 @@ impl Reduction {
         }
     }
 
-    /// Assembles a reduction directly from already-merged parts (used by
-    /// the greedy algorithms, which track merged tuples incrementally).
-    /// `parts` must arrive in (group, time) order with contiguous,
-    /// ascending source ranges; `sse` is the accumulated merge error.
-    pub(crate) fn from_parts(
-        p: usize,
-        parts: Vec<(pta_temporal::GroupKey, TimeInterval, Vec<f64>, Range<usize>)>,
+    /// Assembles a reduction from its parts (used by the greedy
+    /// algorithms, which track merged tuples incrementally): the reduced
+    /// relation, one contiguous source range per output tuple in ascending
+    /// order, and the accumulated merge error.
+    pub(crate) fn new(
+        relation: SequentialRelation,
+        source_ranges: Vec<Range<usize>>,
         sse: f64,
-    ) -> Result<Self, CoreError> {
-        let mut builder = SequentialBuilder::with_capacity(p, parts.len());
-        let mut source_ranges = Vec::with_capacity(parts.len());
-        for (key, interval, values, range) in parts {
-            builder.push(key, interval, &values)?;
-            source_ranges.push(range);
-        }
-        builder.finish();
-        Ok(Self { relation: builder.build(), source_ranges, sse })
+    ) -> Self {
+        debug_assert_eq!(relation.len(), source_ranges.len());
+        Self { relation, source_ranges, sse }
     }
 
-    /// The reduced relation `z`.
+    /// The reduced relation `z`. Offline runs (the DP and the greedy
+    /// `run*` functions) give it the input's key table, so its group ids
+    /// are the input's, and a reduction over a slice carries the keys of
+    /// every group in the slice's table. The streaming `push` entry points
+    /// intern keys in arrival order instead.
     pub fn relation(&self) -> &SequentialRelation {
         &self.relation
     }

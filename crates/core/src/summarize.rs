@@ -29,7 +29,6 @@ use crate::dp::size_bounded::{size_bounded_naive, size_bounded_with_opts};
 use crate::dp::{max_error_with_policy, DpMode, DpOptions, DpStats, DpStrategy};
 use crate::error::CoreError;
 use crate::gaps::GapVector;
-use crate::greedy::estimate::Estimates;
 use crate::greedy::gms::greedy_error_curve_with_cancel;
 use crate::greedy::gptac::GPtaC;
 use crate::greedy::gptae::GPtaE;
@@ -465,7 +464,7 @@ impl Summarizer for ExactPta {
     /// Size grids under [`GapPolicy::Strict`] share one DP: row `k`'s
     /// final cell of a single run *is* the optimal error for size `k`
     /// (Fig. 14's protocol), so the whole grid costs one
-    /// [`optimal_error_curve`] call. Only the auto-selecting `exact`
+    /// [`crate::optimal_error_curve`] call. Only the auto-selecting `exact`
     /// and `approx` (whose curve entries are each certified within
     /// `1 + ε`) take this path — the pinned `exact-table`/`exact-dnc`
     /// variants exist to exercise their backtracking mode, so they run
@@ -604,21 +603,15 @@ impl Summarizer for GreedyPta {
             Bound::Size(c) => {
                 GPtaC::run_with_cancel(rel, w, c, self.delta, view.policy(), view.cancel().clone())?
             }
-            Bound::Error(eps) => match view.policy() {
-                GapPolicy::Strict => {
-                    GPtaE::run_with_cancel(rel, w, eps, self.delta, None, view.cancel().clone())?
-                }
-                policy => {
-                    let est = Estimates::exact(rel, w)?;
-                    let mut alg = GPtaE::with_policy(w.clone(), eps, self.delta, est, policy)?
-                        .with_cancel(view.cancel().clone());
-                    for i in 0..rel.len() {
-                        let key = rel.group_key(rel.group(i))?.clone();
-                        alg.push(&key, rel.interval(i), rel.values(i))?;
-                    }
-                    alg.finish()?
-                }
-            },
+            Bound::Error(eps) => GPtaE::run_with_cancel(
+                rel,
+                w,
+                eps,
+                self.delta,
+                None,
+                view.policy(),
+                view.cancel().clone(),
+            )?,
         };
         Ok(Summary {
             algorithm: self.name(),
@@ -637,7 +630,7 @@ impl Summarizer for GreedyPta {
 
     /// With δ = ∞ under [`GapPolicy::Strict`], size grids share one GMS
     /// run: the merge order does not depend on the bound, so a single
-    /// [`greedy_error_curve`] answers every size (Fig. 15's protocol).
+    /// [`crate::greedy_error_curve`] answers every size (Fig. 15's protocol).
     fn summarize_grid(
         &self,
         view: &SeriesView<'_>,

@@ -105,7 +105,6 @@ pub fn wind(n: usize, dims: usize, runs: usize, seed: u64) -> SequentialRelation
             .expect("rows arrive in order");
         t_out += 1;
     }
-    b.finish();
     b.build()
 }
 

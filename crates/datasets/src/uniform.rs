@@ -28,7 +28,6 @@ pub fn ungrouped(n: usize, p: usize, seed: u64) -> SequentialRelation {
             // pta-lint: allow(no-panic-in-lib) — t strictly increases, so order holds.
             .expect("rows arrive in order");
     }
-    b.finish();
     b.build()
 }
 
@@ -52,7 +51,6 @@ pub fn trend(n: usize, p: usize, seed: u64) -> SequentialRelation {
             // pta-lint: allow(no-panic-in-lib) — t strictly increases, so order holds.
             .expect("rows arrive in order");
     }
-    b.finish();
     b.build()
 }
 
@@ -75,7 +73,6 @@ pub fn grouped(groups: usize, per_group: usize, p: usize, seed: u64) -> Sequenti
                 .expect("rows arrive in order");
         }
     }
-    b.finish();
     b.build()
 }
 

@@ -39,12 +39,13 @@ pub fn ita(
     spec: &ItaQuerySpec,
 ) -> Result<SequentialRelation, ItaError> {
     let stream = StreamingIta::new(relation, spec)?;
-    let p = stream.dims();
-    let mut builder = SequentialBuilder::with_capacity(p, relation.len() * 2);
-    for row in stream {
-        builder.push(row.key, row.interval, &row.values)?;
+    let mut builder = SequentialBuilder::with_capacity(stream.dims(), relation.len() * 2);
+    for (key, mut sweep) in stream.into_groups() {
+        let group = builder.intern(key);
+        while let Some((interval, values)) = sweep.next_row() {
+            builder.push_id(group, interval, &values)?;
+        }
     }
-    builder.finish();
     Ok(builder.build())
 }
 

@@ -137,7 +137,6 @@ pub fn sta(
             }
         }
     }
-    builder.finish();
     Ok(builder.build())
 }
 

@@ -38,7 +38,7 @@ struct Event {
 
 /// Per-group chronological sweep state.
 #[derive(Debug)]
-struct GroupSweep {
+pub(crate) struct GroupSweep {
     /// Argument values per input row, one `f64` per aggregate spec.
     row_values: Vec<Vec<f64>>,
     events: Vec<Event>,
@@ -75,7 +75,7 @@ impl GroupSweep {
     }
 
     /// Advances the sweep until one coalesced ITA row is complete.
-    fn next_row(&mut self) -> Option<(TimeInterval, Vec<f64>)> {
+    pub(crate) fn next_row(&mut self) -> Option<(TimeInterval, Vec<f64>)> {
         loop {
             if self.pos >= self.events.len() {
                 if self.drained {
@@ -203,6 +203,17 @@ impl StreamingIta {
     /// Number of aggregate dimensions `p` of the produced rows.
     pub fn dims(&self) -> usize {
         self.functions.len()
+    }
+
+    /// The groups not yet started, in key order, each with the sweep that
+    /// yields its rows: one key per group rather than one per row.
+    pub(crate) fn into_groups(self) -> impl Iterator<Item = (GroupKey, GroupSweep)> {
+        debug_assert!(self.current.is_none(), "a started group would be lost");
+        let functions = self.functions;
+        self.groups.into_iter().rev().map(move |(key, rows)| {
+            let sweep = GroupSweep::new(rows, &functions);
+            (key, sweep)
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 //! token — a curve that blows its requester's budget is **not** stored,
 //! so a deadline failure never poisons the cache for later queries.
 //!
-//! Curves are capped at [`GroupEntry::curve_depth`] rows (the DP is
+//! Curves are capped at `GroupEntry::curve_depth` rows (the DP is
 //! O(kmax · n²) in the worst case); queries beyond the cached depth fall
 //! back to a direct bounded-DP run under the same token.
 
@@ -21,7 +21,7 @@ use pta_core::{
     pta_size_bounded_with_opts, CancelToken, DpOptions, DpStrategy, Weights,
 };
 use pta_failpoints::fail_point;
-use pta_temporal::{GroupKey, SequentialRelation, Value};
+use pta_temporal::{GroupKey, SequentialBuilder, SequentialRelation, Value};
 
 use crate::protocol::QueryBound;
 use crate::ServeError;
@@ -193,8 +193,16 @@ impl GroupStore {
             while j < n && seq.group(j) == gid {
                 j += 1;
             }
-            let series = seq.slice(i..j);
-            let name = group_name(seq.group_key(gid)?);
+            // Each series gets a table of its own group's key alone, so a
+            // direct run's reduction carries one key, not the input's all.
+            let key = seq.group_key(gid)?;
+            let mut builder = SequentialBuilder::with_capacity(seq.dims(), j - i);
+            let own = builder.intern(key.clone());
+            for k in i..j {
+                builder.push_id(own, seq.interval(k), seq.values(k))?;
+            }
+            let series = builder.build();
+            let name = group_name(key);
             let emax = max_error(&series, &weights)?;
             let cmin = series.cmin();
             if index.insert(name.clone(), entries.len()).is_some() {
@@ -280,10 +288,32 @@ mod tests {
         let ans = a.answer(QueryBound::Size(4), &CancelToken::inert()).expect("answer");
         assert!(ans.cached);
         assert_eq!(ans.size, 4);
-        // Bit-identical to a direct curve over the same slice.
+        // Bit-identical to a direct curve over the same series.
         let curve = optimal_error_curve(&a.series, &Weights::uniform(1), a.len()).expect("curve");
         assert_eq!(ans.sse.to_bits(), curve[3].to_bits());
         assert_eq!(store.curves_cached(), 1);
+    }
+
+    #[test]
+    fn each_series_holds_its_own_rows_and_key_alone() {
+        let relation = pta_datasets::proj_relation();
+        let spec = ItaQuerySpec::new(&["Proj"], vec![AggregateSpec::avg("Sal")]);
+        let seq = ita(&relation, &spec).expect("ita");
+        let store = GroupStore::build(&seq, Weights::uniform(1), 128).expect("store");
+        let mut start = 0;
+        for entry in store.entries() {
+            let series = &entry.series;
+            let rows = start..start + series.len();
+            assert_eq!(series.group_keys().len(), 1, "group {}", entry.name);
+            assert_eq!(group_name(&series.group_keys()[0]), entry.name);
+            assert!(series.entries().iter().all(|e| e.group == 0), "group {}", entry.name);
+            for (i, k) in rows.clone().enumerate() {
+                assert_eq!(series.interval(i), seq.interval(k));
+                assert_eq!(series.values(i), seq.values(k));
+            }
+            start = rows.end;
+        }
+        assert_eq!(start, seq.len());
     }
 
     #[test]

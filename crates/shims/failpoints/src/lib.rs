@@ -6,7 +6,7 @@
 //! [`fail_point!`] invocation expands to nothing — zero code, zero branches
 //! on the hot paths. With the feature **on**, each invocation consults a
 //! process-global registry and can be made to panic, sleep, run a callback,
-//! or early-return a typed error, either programmatically ([`cfg`],
+//! or early-return a typed error, either programmatically ([`cfg()`],
 //! [`cfg_callback`]) or from the `FAILPOINTS` environment variable.
 //!
 //! Action grammar (a subset of the `fail` crate's):
@@ -92,7 +92,7 @@ fn registry() -> &'static Mutex<HashMap<String, Entry>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Error returned by [`cfg`] / [`FailScenario::setup`] on a malformed spec.
+/// Error returned by [`cfg()`] / [`FailScenario::setup`] on a malformed spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError(pub String);
 

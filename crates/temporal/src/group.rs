@@ -47,14 +47,19 @@ impl fmt::Display for GroupKey {
     }
 }
 
-/// Interner assigning dense [`GroupId`]s to group keys.
+/// Interner assigning dense [`GroupId`]s to group keys: the one key table
+/// behind [`crate::SequentialBuilder`] and the streaming greedy reducers.
 ///
 /// ITA result relations are sorted by group; interning lets the downstream
-/// algorithms compare groups with a single integer comparison.
+/// algorithms compare groups with a single integer comparison. The hash
+/// index is built lazily: a table that is only read by id (one moved over
+/// from [`GroupInterner::from_keys`]) never hashes its keys.
 #[derive(Debug, Default)]
 pub struct GroupInterner {
     keys: Vec<GroupKey>,
     ids: HashMap<GroupKey, GroupId>,
+    /// `keys[..indexed]` are in `ids`.
+    indexed: usize,
 }
 
 impl GroupInterner {
@@ -63,23 +68,41 @@ impl GroupInterner {
         Self::default()
     }
 
+    /// An interner over an existing key table, where key `i` has id `i`.
+    /// The keys are hashed only on the first lookup by key.
+    pub fn from_keys(keys: Vec<GroupKey>) -> Self {
+        Self { keys, ids: HashMap::new(), indexed: 0 }
+    }
+
     /// Returns the id for `key`, interning it on first sight.
     pub fn intern(&mut self, key: GroupKey) -> GroupId {
-        if let Some(&id) = self.ids.get(&key) {
+        if let Some(id) = self.get(&key) {
             return id;
         }
         let id = self.keys.len() as GroupId;
         self.keys.push(key.clone());
         self.ids.insert(key, id);
+        self.indexed = self.keys.len();
         id
     }
 
+    /// The id of `key`, if interned.
+    pub fn get(&mut self, key: &GroupKey) -> Option<GroupId> {
+        for (id, k) in self.keys.iter().enumerate().skip(self.indexed) {
+            self.ids.entry(k.clone()).or_insert(id as GroupId);
+        }
+        self.indexed = self.keys.len();
+        self.ids.get(key).copied()
+    }
+
     /// The key for `id`, if interned.
+    #[inline]
     pub fn key(&self, id: GroupId) -> Option<&GroupKey> {
         self.keys.get(id as usize)
     }
 
     /// Number of interned keys.
+    #[inline]
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -109,6 +132,17 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(interner.len(), 2);
         assert_eq!(interner.key(b).unwrap().values(), &[Value::str("B")]);
+    }
+
+    #[test]
+    fn a_moved_key_table_is_indexed_on_first_lookup() {
+        let (a, b) = (GroupKey::new(vec![Value::str("A")]), GroupKey::new(vec![Value::str("B")]));
+        let mut interner = GroupInterner::from_keys(vec![a.clone(), b.clone()]);
+        assert_eq!(interner.key(1), Some(&b));
+        assert_eq!(interner.get(&a), Some(0));
+        assert_eq!(interner.intern(b), 1);
+        assert_eq!(interner.intern(GroupKey::empty()), 2);
+        assert_eq!(interner.into_keys().len(), 3);
     }
 
     #[test]

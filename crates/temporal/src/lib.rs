@@ -33,7 +33,7 @@ pub use chronon::Chronon;
 pub use coalesce::coalesce;
 pub use csv::{IngestReport, RowPolicy};
 pub use error::{CommonError, TemporalError};
-pub use group::{GroupId, GroupKey};
+pub use group::{GroupId, GroupInterner, GroupKey};
 pub use interval::TimeInterval;
 pub use relation::TemporalRelation;
 pub use schema::{Attribute, Schema};

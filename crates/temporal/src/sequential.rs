@@ -14,7 +14,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::error::TemporalError;
-use crate::group::{GroupId, GroupKey};
+use crate::group::{GroupId, GroupInterner, GroupKey};
 use crate::interval::TimeInterval;
 
 /// Group id and timestamp of one sequential-relation tuple.
@@ -56,7 +56,6 @@ impl SequentialRelation {
         for (i, row) in rows.chunks_exact(p).enumerate() {
             b.push(GroupKey::empty(), TimeInterval::instant(t0 + i as i64)?, row)?;
         }
-        b.finish();
         Ok(b.build())
     }
 
@@ -183,9 +182,11 @@ impl SequentialRelation {
         self.entries.iter().map(|e| e.interval.len()).sum()
     }
 
-    /// Clones the tuple range `range` into a new relation (group table is
-    /// shared). Used by the evaluation to carve fixed-size subsets out of a
-    /// dataset as the paper does in Figs. 14(b) and 18.
+    /// Clones the tuple range `range` into a new relation. The whole group
+    /// table is cloned with it, so the slice keeps the source's group ids
+    /// and the keys of groups outside `range`. Used by the evaluation to
+    /// carve fixed-size subsets out of a dataset as the paper does in
+    /// Figs. 14(b) and 18.
     pub fn slice(&self, range: Range<usize>) -> SequentialRelation {
         SequentialRelation {
             p: self.p,
@@ -246,89 +247,110 @@ impl fmt::Display for SequentialRelation {
 /// Incremental builder enforcing the sequential-relation invariant.
 ///
 /// Rows must arrive sorted: all rows of one group consecutively (groups in
-/// first-seen order) and chronologically, without overlaps, within each
-/// group. This is exactly the order ITA produces.
+/// ascending id order, which is first-seen order for interned keys) and
+/// chronologically, without overlaps, within each group. This is exactly
+/// the order ITA produces.
+///
+/// Rows enter by key ([`SequentialBuilder::push`]) or by the id of a key
+/// already in the builder's table ([`SequentialBuilder::push_id`], after
+/// [`SequentialBuilder::intern`] or [`SequentialBuilder::with_groups`]).
+/// A key is hashed only when it differs from the previous row's key.
 #[derive(Debug)]
 pub struct SequentialBuilder {
     p: usize,
     entries: Vec<SeqEntry>,
     values: Vec<f64>,
-    group_keys: Vec<GroupKey>,
-    ids: std::collections::HashMap<GroupKey, GroupId>,
-    finished: bool,
+    groups: GroupInterner,
 }
 
 impl SequentialBuilder {
     /// Creates a builder for `p`-dimensional rows.
     pub fn new(p: usize) -> Self {
-        Self {
-            p,
-            entries: Vec::new(),
-            values: Vec::new(),
-            group_keys: Vec::new(),
-            ids: std::collections::HashMap::new(),
-            finished: false,
-        }
+        Self::with_capacity(p, 0)
     }
 
     /// Pre-allocates room for `n` rows.
     pub fn with_capacity(p: usize, n: usize) -> Self {
-        let mut b = Self::new(p);
-        b.entries.reserve(n);
-        b.values.reserve(n * p);
-        b
+        Self::with_groups(p, n, GroupInterner::new())
     }
 
-    /// Appends one row. Fails when the dimensionality, value finiteness or
-    /// the (group, time) ordering invariant is violated.
+    /// A builder for `n` rows over an existing key table, whose ids rows
+    /// may name through [`SequentialBuilder::push_id`]. The table moves
+    /// into the built relation as it is.
+    pub fn with_groups(p: usize, n: usize, groups: GroupInterner) -> Self {
+        Self { p, entries: Vec::with_capacity(n), values: Vec::with_capacity(n * p), groups }
+    }
+
+    /// The id of `key` in the builder's table, interning it on first
+    /// sight.
+    pub fn intern(&mut self, key: GroupKey) -> GroupId {
+        self.groups.intern(key)
+    }
+
+    /// Appends one row of group `key`. Fails when the dimensionality,
+    /// value finiteness or the (group, time) ordering invariant is
+    /// violated.
     pub fn push(
         &mut self,
         key: GroupKey,
         interval: TimeInterval,
         values: &[f64],
     ) -> Result<(), TemporalError> {
-        if values.len() != self.p {
-            return Err(TemporalError::DimensionMismatch { got: values.len(), expected: self.p });
-        }
+        let group = match self.entries.last() {
+            Some(last) if self.groups.key(last.group) == Some(&key) => last.group,
+            _ => {
+                self.check_values(values)?;
+                self.groups.intern(key)
+            }
+        };
+        self.push_id(group, interval, values)
+    }
+
+    /// Appends one row of the group with id `group`. Fails like
+    /// [`SequentialBuilder::push`], and when the id is not in the table.
+    pub fn push_id(
+        &mut self,
+        group: GroupId,
+        interval: TimeInterval,
+        values: &[f64],
+    ) -> Result<(), TemporalError> {
+        self.check_values(values)?;
         let index = self.entries.len();
-        for (d, v) in values.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(TemporalError::NonFiniteValue {
-                    context: format!("row {index}, dimension {d}"),
+        let Some(key) = self.groups.key(group) else {
+            return Err(TemporalError::UnknownGroup(group));
+        };
+        if let Some(last) = self.entries.last() {
+            if group < last.group {
+                return Err(TemporalError::NonSequential {
+                    index,
+                    reason: format!("group {key} reappears after another group"),
+                });
+            }
+            if group == last.group && interval.start() <= last.interval.end() {
+                return Err(TemporalError::NonSequential {
+                    index,
+                    reason: format!(
+                        "interval {} starts before predecessor {} ends",
+                        interval, last.interval
+                    ),
                 });
             }
         }
-        let group = match self.ids.get(&key) {
-            Some(&id) => {
-                if let Some(last) = self.entries.last() {
-                    if last.group != id {
-                        return Err(TemporalError::NonSequential {
-                            index,
-                            reason: format!("group {key} reappears after another group"),
-                        });
-                    }
-                    if interval.start() <= last.interval.end() {
-                        return Err(TemporalError::NonSequential {
-                            index,
-                            reason: format!(
-                                "interval {} starts before predecessor {} ends",
-                                interval, last.interval
-                            ),
-                        });
-                    }
-                }
-                id
-            }
-            None => {
-                let id = self.group_keys.len() as GroupId;
-                self.group_keys.push(key.clone());
-                self.ids.insert(key, id);
-                id
-            }
-        };
         self.entries.push(SeqEntry { group, interval });
         self.values.extend_from_slice(values);
         Ok(())
+    }
+
+    fn check_values(&self, values: &[f64]) -> Result<(), TemporalError> {
+        if values.len() != self.p {
+            return Err(TemporalError::DimensionMismatch { got: values.len(), expected: self.p });
+        }
+        match values.iter().position(|v| !v.is_finite()) {
+            Some(d) => Err(TemporalError::NonFiniteValue {
+                context: format!("row {}, dimension {d}", self.entries.len()),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Number of rows pushed so far.
@@ -341,17 +363,15 @@ impl SequentialBuilder {
         self.entries.is_empty()
     }
 
-    /// Marks the builder complete (no-op today; kept so streaming producers
-    /// can signal end-of-input explicitly).
-    pub fn finish(&mut self) {
-        self.finished = true;
-    }
-
-    /// Finalises the relation.
+    /// Finalises the relation. Its key table is the builder's: without
+    /// rows or keys it is empty, so the relation names no groups.
     pub fn build(self) -> SequentialRelation {
-        let group_keys =
-            if self.group_keys.is_empty() { vec![GroupKey::empty()] } else { self.group_keys };
-        SequentialRelation { p: self.p, entries: self.entries, values: self.values, group_keys }
+        SequentialRelation {
+            p: self.p,
+            entries: self.entries,
+            values: self.values,
+            group_keys: self.groups.into_keys(),
+        }
     }
 }
 
@@ -426,6 +446,56 @@ mod tests {
         b.push(key("B"), iv(1, 2), &[1.0]).unwrap();
         let err = b.push(key("A"), iv(3, 4), &[1.0]).unwrap_err();
         assert!(matches!(err, TemporalError::NonSequential { index: 2, .. }));
+    }
+
+    #[test]
+    fn id_entry_rejects_group_interleaving() {
+        let mut b = SequentialBuilder::new(1);
+        let (a, bb) = (b.intern(key("A")), b.intern(key("B")));
+        b.push_id(a, iv(1, 2), &[1.0]).unwrap();
+        b.push_id(bb, iv(1, 2), &[1.0]).unwrap();
+        let err = b.push_id(a, iv(3, 4), &[1.0]).unwrap_err();
+        assert!(matches!(err, TemporalError::NonSequential { index: 2, .. }), "{err}");
+        assert!(err.to_string().contains("(A) reappears"), "{err}");
+    }
+
+    #[test]
+    fn id_entry_rejects_overlap_non_finite_and_unknown_ids() {
+        let mut b = SequentialBuilder::with_groups(1, 2, GroupInterner::from_keys(vec![key("A")]));
+        b.push_id(0, iv(1, 4), &[1.0]).unwrap();
+        let err = b.push_id(0, iv(4, 6), &[2.0]).unwrap_err();
+        assert!(matches!(err, TemporalError::NonSequential { index: 1, .. }));
+        assert!(matches!(
+            b.push_id(0, iv(5, 6), &[f64::INFINITY]),
+            Err(TemporalError::NonFiniteValue { .. })
+        ));
+        assert!(matches!(b.push_id(1, iv(5, 6), &[1.0]), Err(TemporalError::UnknownGroup(1))));
+        b.push_id(0, iv(5, 6), &[2.0]).unwrap();
+        let s = b.build();
+        assert_eq!(s.len(), 2);
+        s.validate().unwrap();
+    }
+
+    #[test]
+    fn key_and_id_entries_share_one_table() {
+        let mut b = SequentialBuilder::new(1);
+        b.push(key("A"), iv(1, 2), &[1.0]).unwrap();
+        let bb = b.intern(key("B"));
+        assert_eq!(bb, 1);
+        b.push_id(bb, iv(1, 2), &[2.0]).unwrap();
+        b.push(key("B"), iv(3, 3), &[3.0]).unwrap();
+        assert!(b.push(key("A"), iv(9, 9), &[1.0]).is_err());
+        let s = b.build();
+        assert_eq!(s.group_keys(), &[key("A"), key("B")]);
+        assert_eq!(s.group(2), 1);
+    }
+
+    #[test]
+    fn a_builder_without_rows_names_no_groups() {
+        let s = SequentialBuilder::new(2).build();
+        assert!(s.is_empty());
+        assert!(s.group_keys().is_empty());
+        s.validate().unwrap();
     }
 
     #[test]

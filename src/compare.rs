@@ -50,8 +50,9 @@ enum Grid {
     Ratios(Vec<f64>),
 }
 
-/// Builder for §7-style comparisons. See the [module docs](self) for an
-/// end-to-end example.
+/// Builder for §7-style comparisons: ITA once, then every selected
+/// summarizer across one bound grid. `examples/compare_approximations.rs`
+/// runs one end to end.
 pub struct Comparator {
     query: PtaQuery,
     methods: Vec<BoxedSummarizer>,

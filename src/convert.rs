@@ -10,10 +10,42 @@ use crate::error::Error;
 /// values followed by the aggregate values.
 ///
 /// `group_names` and `value_names` label the two attribute blocks; the
-/// grouping block's types are inferred from the first group key.
+/// grouping block's types are inferred from the first group key. A
+/// relation without group keys (the ITA result of an empty input) takes
+/// any grouping names, typed `Str`, and renders as an empty table.
 pub fn to_temporal_relation(
     seq: &SequentialRelation,
     group_names: &[&str],
+    value_names: &[&str],
+) -> Result<TemporalRelation, Error> {
+    let first = seq.group_keys().first();
+    let group_types: Vec<DataType> = (0..group_names.len())
+        .map(|i| first.and_then(|k| k.values().get(i)).map_or(DataType::Str, Value::data_type))
+        .collect();
+    render(seq, group_names, &group_types, value_names)
+}
+
+/// [`to_temporal_relation`] with each grouping attribute typed as the
+/// query's input schema declares it, so that a result without rows has
+/// the schema every other result of the query has.
+pub(crate) fn to_temporal_relation_over(
+    input: &Schema,
+    seq: &SequentialRelation,
+    group_names: &[&str],
+    value_names: &[&str],
+) -> Result<TemporalRelation, Error> {
+    let group_types = group_names
+        .iter()
+        .map(|name| Ok(input.attribute(input.index_of(name)?).data_type()))
+        .collect::<Result<Vec<_>, Error>>()?;
+    render(seq, group_names, &group_types, value_names)
+}
+
+/// Renders `seq` with the grouping block typed `group_types`.
+fn render(
+    seq: &SequentialRelation,
+    group_names: &[&str],
+    group_types: &[DataType],
     value_names: &[&str],
 ) -> Result<TemporalRelation, Error> {
     if value_names.len() != seq.dims() {
@@ -23,7 +55,7 @@ pub fn to_temporal_relation(
             seq.dims()
         )));
     }
-    let key_arity = seq.group_keys().first().map_or(0, |k| k.values().len());
+    let key_arity = seq.group_keys().first().map_or(group_names.len(), |k| k.values().len());
     if group_names.len() != key_arity {
         return Err(Error::InvalidQuery(format!(
             "{} group names supplied for keys of arity {key_arity}",
@@ -31,16 +63,8 @@ pub fn to_temporal_relation(
         )));
     }
     let mut attrs = Vec::with_capacity(group_names.len() + value_names.len());
-    for (i, name) in group_names.iter().enumerate() {
-        // Infer the domain from the first key that is present.
-        let dtype = seq
-            .group_keys()
-            .iter()
-            .filter_map(|k| k.values().get(i))
-            .map(Value::data_type)
-            .next()
-            .unwrap_or(DataType::Str);
-        attrs.push(Attribute::new(*name, dtype));
+    for (name, dtype) in group_names.iter().zip(group_types) {
+        attrs.push(Attribute::new(*name, *dtype));
     }
     for name in value_names {
         attrs.push(Attribute::new(*name, DataType::Float));

@@ -7,9 +7,9 @@ use pta_core::{
     DpStrategy, Estimates, GPtaC, GPtaE, GapPolicy, Reduction, Weights,
 };
 use pta_ita::{ItaQuerySpec, StreamingIta};
-use pta_temporal::{SequentialRelation, TemporalRelation};
+use pta_temporal::TemporalRelation;
 
-use crate::convert::to_temporal_relation;
+use crate::convert::to_temporal_relation_over;
 use crate::error::Error;
 
 /// The reduction bound of a PTA query (re-exported from `pta-core`, where
@@ -234,8 +234,16 @@ impl PtaQuery {
     }
 
     /// Supplies `(n̂, Ê_max)` estimates for greedy error-bounded
-    /// execution; without them the exact values are computed in a first
-    /// pass.
+    /// execution, in place of the exact `n` and `E_max`.
+    ///
+    /// Greedy error-bounded execution always materializes the ITA result
+    /// once and runs gPTAε over it; without estimates it takes the exact
+    /// values from that result, as the paper's δ experiments do (§7.2.2).
+    /// The query therefore holds all `n` ITA tuples either way. Supplying
+    /// [`Estimates::exact`] of the ITA result returns the reduction the
+    /// default does, bit for bit. A caller that must not hold the ITA
+    /// result streams it instead: [`pta_ita::StreamingIta`] rows pushed
+    /// into [`GPtaE::with_policy`] give the same reduction too.
     #[must_use]
     pub fn estimates(mut self, estimates: Estimates) -> Self {
         self.estimates = Some(estimates);
@@ -310,23 +318,13 @@ impl PtaQuery {
                     (out.reduction, out.stats.tuples_in, ExecutionStats::Greedy(out.stats))
                 }
                 Bound::Error(eps) => {
-                    let est = match self.estimates {
-                        Some(e) => e,
-                        None => {
-                            // Exact estimates need the full ITA result; the
-                            // paper does the same for its δ experiments.
-                            let seq: SequentialRelation = pta_ita::ita(relation, &spec)?;
-                            Estimates::exact(&seq, &weights)?
-                        }
-                    };
-                    let stream = StreamingIta::new(relation, &spec)?;
-                    let mut alg =
-                        GPtaE::with_policy(weights.clone(), eps, delta, est, self.policy)?
-                            .with_cancel(cancel);
-                    for row in stream {
-                        alg.push(&row.key, row.interval, &row.values)?;
-                    }
-                    let out = alg.finish()?;
+                    // gPTAε runs over the materialized ITA result, which
+                    // also yields the exact estimates when none are
+                    // supplied (as in the paper's δ experiments, §7.2.2).
+                    let seq = pta_ita::ita(relation, &spec)?;
+                    let (est, policy) = (self.estimates, self.policy);
+                    let out =
+                        GPtaE::run_with_cancel(&seq, &weights, eps, delta, est, policy, cancel)?;
                     (out.reduction, out.stats.tuples_in, ExecutionStats::Greedy(out.stats))
                 }
             },
@@ -334,7 +332,12 @@ impl PtaQuery {
 
         let group_names: Vec<&str> = self.grouping.iter().map(String::as_str).collect();
         let value_names: Vec<&str> = self.aggregates.iter().map(|a| a.output.as_str()).collect();
-        let table = to_temporal_relation(reduction.relation(), &group_names, &value_names)?;
+        let table = to_temporal_relation_over(
+            relation.schema(),
+            reduction.relation(),
+            &group_names,
+            &value_names,
+        )?;
         Ok(PtaOutput { table, reduction, ita_size, stats })
     }
 }
@@ -350,7 +353,7 @@ pub fn ita_table(
     let spec = ItaQuerySpec::new(grouping, aggregates);
     let seq = pta_ita::ita(relation, &spec)?;
     let names: Vec<&str> = value_names.iter().map(String::as_str).collect();
-    to_temporal_relation(&seq, grouping, &names)
+    to_temporal_relation_over(relation.schema(), &seq, grouping, &names)
 }
 
 /// Runs moving-window temporal aggregation and renders the result table.
@@ -364,7 +367,7 @@ pub fn mwta_table(
     let spec = ItaQuerySpec::new(grouping, aggregates);
     let seq = pta_ita::mwta(relation, &spec, window)?;
     let names: Vec<&str> = value_names.iter().map(String::as_str).collect();
-    to_temporal_relation(&seq, grouping, &names)
+    to_temporal_relation_over(relation.schema(), &seq, grouping, &names)
 }
 
 /// Runs STA and renders the result table (Fig. 1(b)-style queries).
@@ -377,5 +380,5 @@ pub fn sta_table(
     let value_names: Vec<String> = aggregates.iter().map(|a| a.output.clone()).collect();
     let seq = pta_ita::sta(relation, grouping, &aggregates, spans)?;
     let names: Vec<&str> = value_names.iter().map(String::as_str).collect();
-    to_temporal_relation(&seq, grouping, &names)
+    to_temporal_relation_over(relation.schema(), &seq, grouping, &names)
 }

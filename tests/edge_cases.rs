@@ -290,3 +290,45 @@ fn empty_input_reports_requested_strategy_and_threads() {
     let naive = pta_size_bounded_naive(&input, &w, 0).unwrap();
     assert_eq!(naive.stats.strategy, DpStrategy::Scan);
 }
+
+/// An empty relation grouped by a non-empty `group_by` renders an empty
+/// table whose schema names the grouping attributes, typed as the input
+/// declares them, the aggregate outputs and `T`, on every algorithm ×
+/// bound and through `ita_table` — the schema a non-empty input renders.
+#[test]
+fn empty_grouped_input_renders_an_empty_table() {
+    let schema =
+        Schema::of(&[("Proj", DataType::Str), ("Team", DataType::Int), ("Sal", DataType::Int)])
+            .unwrap();
+    let empty = TemporalRelation::new(schema.clone());
+    let mut one = TemporalRelation::new(schema);
+    one.push(
+        vec![Value::str("A"), Value::Int(7), Value::Int(800)],
+        TimeInterval::new(1, 4).unwrap(),
+    )
+    .unwrap();
+    let expected = "(Proj: Str, Team: Int, AvgSal: Float, T)";
+    let grouping = ["Proj", "Team"];
+    for algorithm in [Algorithm::Exact, Algorithm::Greedy { delta: Delta::Finite(1) }] {
+        for bound in [Bound::Size(3), Bound::Error(0.5)] {
+            let query = PtaQuery::new()
+                .group_by(&grouping)
+                .aggregate(Agg::avg("Sal").as_output("AvgSal"))
+                .bound(bound)
+                .algorithm(algorithm);
+            let out =
+                query.execute(&empty).unwrap_or_else(|e| panic!("{algorithm:?} {bound:?}: {e}"));
+            assert!(out.reduction.is_empty() && out.table.is_empty(), "{algorithm:?} {bound:?}");
+            assert_eq!(out.ita_size, 0);
+            assert_eq!(out.table.schema().to_string(), expected, "{algorithm:?} {bound:?}");
+            let rendered = query.execute(&one).unwrap().table;
+            assert_eq!(rendered.schema().to_string(), expected, "{algorithm:?} {bound:?}");
+        }
+    }
+    for rel in [&empty, &one] {
+        let aggs = vec![Agg::avg("Sal").as_output("AvgSal")];
+        let table = ita_table(rel, &grouping, aggs).unwrap();
+        assert_eq!(table.len(), rel.len());
+        assert_eq!(table.schema().to_string(), expected);
+    }
+}

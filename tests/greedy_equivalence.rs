@@ -4,10 +4,15 @@
 mod common;
 
 use common::random_sequential;
+use pta::{to_temporal_relation, Agg, Algorithm, Bound, ExecutionStats, PtaQuery};
 use pta_core::{
-    gms_error_bounded, gms_size_bounded, greedy_error_curve, max_error, Delta, Estimates, GPtaC,
-    GPtaE, Weights,
+    gms_error_bounded, gms_size_bounded, greedy_error_curve, max_error, CancelToken, Delta,
+    Estimates, GPtaC, GPtaE, GapPolicy, Weights,
 };
+use pta_ita::{ItaQuerySpec, StreamingIta};
+use pta_temporal::{DataType, Schema, TemporalRelation, TimeInterval, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn theorem_2_gptac_with_unbounded_delta_equals_gms() {
@@ -128,6 +133,97 @@ fn conservative_estimates_preserve_gms_equivalence() {
                 b.reduction.source_ranges(),
                 "seed {seed} eps {eps}"
             );
+        }
+    }
+}
+
+/// A random `(G, V)` relation of `groups` groups: about a third of them
+/// hold one argument tuple, so their ITA result is a single tuple; the
+/// rest hold overlapping, meeting and gapped tuples.
+fn random_grouped_relation(seed: u64, groups: usize) -> TemporalRelation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = Schema::of(&[("G", DataType::Str), ("V", DataType::Int)]).unwrap();
+    let mut rel = TemporalRelation::new(schema);
+    for g in 0..groups {
+        let rows = if rng.random_bool(0.35) { 1 } else { rng.random_range(2..12) };
+        for _ in 0..rows {
+            let start = rng.random_range(0..40i64);
+            let end = start + rng.random_range(0..8i64);
+            let v = rng.random_range(0..50i64);
+            let values = vec![Value::str(format!("g{g:02}")), Value::Int(v)];
+            rel.push(values, TimeInterval::new(start, end).unwrap()).unwrap();
+        }
+    }
+    rel
+}
+
+/// gPTAε through the facade without estimates (exact values from the
+/// materialized ITA result), through the facade with `Estimates::exact`,
+/// streamed (`StreamingIta` rows pushed into `GPtaE`) and offline on the
+/// ITA result: all four give bit-identical SSE, source ranges, counters
+/// and relations, and the two facade runs the offline rendered table.
+#[test]
+fn facade_streamed_and_offline_gptae_agree_bit_for_bit() {
+    let w = Weights::uniform(1);
+    let spec = ItaQuerySpec::new(&["G"], vec![Agg::avg("V")]);
+    let deltas = [Delta::Finite(0), Delta::Finite(1), Delta::Unbounded];
+    let policies = [GapPolicy::Strict, GapPolicy::Tolerate { max_gap: 1 }];
+    for seed in 0..6 {
+        let rel = random_grouped_relation(seed, 12);
+        let ita = pta_ita::ita(&rel, &spec).unwrap();
+        let groups = ita.group_keys().len() as u32;
+        let tuples_of = |g| ita.entries().iter().filter(|e| e.group == g).count();
+        assert!(
+            groups > 1 && (0..groups).any(|g| tuples_of(g) == 1),
+            "seed {seed}: multi-group input with single-tuple groups"
+        );
+        let exact = Estimates::exact(&ita, &w).unwrap();
+        for delta in deltas {
+            for policy in policies {
+                for eps in [0.0, 0.05, 0.3, 1.0] {
+                    let ctx = format!("seed {seed} {delta:?} {policy:?} eps {eps}");
+                    let query = PtaQuery::new()
+                        .group_by(&["G"])
+                        .aggregate(Agg::avg("V"))
+                        .bound(Bound::Error(eps))
+                        .algorithm(Algorithm::Greedy { delta })
+                        .gap_policy(policy);
+                    let default = query.clone().execute(&rel).unwrap();
+                    let supplied = query.estimates(exact).execute(&rel).unwrap();
+                    let mut alg = GPtaE::with_policy(w.clone(), eps, delta, exact, policy).unwrap();
+                    for row in StreamingIta::new(&rel, &spec).unwrap() {
+                        alg.push(&row.key, row.interval, &row.values).unwrap();
+                    }
+                    let streamed = alg.finish().unwrap();
+                    let inert = CancelToken::inert();
+                    let offline =
+                        GPtaE::run_with_cancel(&ita, &w, eps, delta, None, policy, inert).unwrap();
+                    let offline_table =
+                        to_temporal_relation(offline.reduction.relation(), &["G"], &["avg_V"])
+                            .unwrap();
+                    let runs = [
+                        ("default", &default.reduction, default.stats.clone()),
+                        ("supplied", &supplied.reduction, supplied.stats.clone()),
+                        ("streamed", &streamed.reduction, ExecutionStats::Greedy(streamed.stats)),
+                    ];
+                    for (name, r, stats) in runs {
+                        let o = &offline.reduction;
+                        assert_eq!(r.sse().to_bits(), o.sse().to_bits(), "{name} {ctx}");
+                        assert_eq!(r.source_ranges(), o.source_ranges(), "{name} {ctx}");
+                        assert_eq!(r.relation(), o.relation(), "{name} {ctx}");
+                        match stats {
+                            ExecutionStats::Greedy(g) => {
+                                assert_eq!(g, offline.stats, "{name} {ctx}")
+                            }
+                            ExecutionStats::Exact(_) => panic!("greedy query reported DP stats"),
+                        }
+                    }
+                    for (name, out) in [("default", &default), ("supplied", &supplied)] {
+                        assert_eq!(out.table, offline_table, "{name} {ctx}");
+                        assert_eq!(out.ita_size, ita.len(), "{name} {ctx}");
+                    }
+                }
+            }
         }
     }
 }
