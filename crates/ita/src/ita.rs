@@ -1,10 +1,12 @@
 //! Eager instant temporal aggregation (Def. 1).
 
-use pta_temporal::{SequentialBuilder, SequentialRelation, TemporalRelation};
+use pta_temporal::{
+    GroupId, GroupInterner, SequentialBuilder, SequentialRelation, TemporalRelation,
+};
 
 use crate::aggregate::AggregateSpec;
 use crate::error::ItaError;
-use crate::stream::StreamingIta;
+use crate::partition::Partition;
 
 /// An ITA query: grouping attributes `A` and aggregate functions `F`.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,19 +34,21 @@ impl ItaQuerySpec {
 /// [`SequentialRelation`] with one dimension per aggregate, sorted by group
 /// and chronologically within groups — the input format of PTA.
 ///
-/// Runs in `O(n log n)` per group (endpoint sort + sweep with incremental
-/// accumulators); `min`/`max` add an `O(log n)` multiset factor.
+/// Cost: one sort of the `n` row indices by their grouping values, then a
+/// sweep per group that sorts the group's `2·n_g` endpoints and updates
+/// incremental accumulators, so `O(n log n)` overall; `min`/`max` add an
+/// `O(log n)` multiset factor. The key table is built once per group and
+/// moves into the result as it is.
 pub fn ita(
     relation: &TemporalRelation,
     spec: &ItaQuerySpec,
 ) -> Result<SequentialRelation, ItaError> {
-    let stream = StreamingIta::new(relation, spec)?;
-    let mut builder = SequentialBuilder::with_capacity(stream.dims(), relation.len() * 2);
-    for (key, mut sweep) in stream.into_groups() {
-        let group = builder.intern(key);
-        while let Some((interval, values)) = sweep.next_row() {
-            builder.push_id(group, interval, &values)?;
-        }
+    let mut part = Partition::for_query(relation, spec)?;
+    let mut sweep = part.sweep();
+    let groups = GroupInterner::from_keys(part.take_keys());
+    let mut builder = SequentialBuilder::with_groups(part.dims(), relation.len() * 2, groups);
+    for g in 0..part.groups() {
+        sweep.run(&part, g, |interval, values| builder.push_id(g as GroupId, interval, values))?;
     }
     Ok(builder.build())
 }

@@ -15,7 +15,10 @@
 //!   around each instant, implemented by the standard reduction of window
 //!   queries to ITA over stretched tuples.
 //!
-//! Aggregate functions `count`, `sum`, `avg`, `min`, `max` are evaluated
+//! ITA, streamed ITA and STA read one partition of the argument relation
+//! by group: flat buffers of argument values and timestamps, ordered by one
+//! stable sort of the row indices by their grouping values. Aggregate
+//! functions `count`, `sum`, `avg`, `min`, `max` are evaluated
 //! incrementally during one chronological sweep per group.
 
 #![forbid(unsafe_code)]
@@ -26,6 +29,7 @@ pub mod error;
 pub mod ita;
 pub mod multiset;
 pub mod mwta;
+mod partition;
 pub mod sta;
 pub mod stream;
 

@@ -7,14 +7,13 @@
 //! predictable but ignores the data distribution — the limitation PTA
 //! addresses.
 
-use std::collections::BTreeMap;
-
 use pta_temporal::{
-    Chronon, GroupKey, SequentialBuilder, SequentialRelation, TemporalRelation, TimeInterval,
+    Chronon, SequentialBuilder, SequentialRelation, TemporalRelation, TimeInterval,
 };
 
-use crate::aggregate::{Accumulator, AggregateFunction, AggregateSpec};
+use crate::aggregate::{Accumulator, AggregateSpec};
 use crate::error::ItaError;
+use crate::partition::{Columns, Partition};
 
 /// How the time line is partitioned into reporting spans.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,66 +73,49 @@ impl SpanSpec {
 
 /// Span temporal aggregation: one result tuple per (group, span) with at
 /// least one overlapping argument tuple.
+///
+/// Reads the group partition [`fn@crate::ita`] sweeps; each (group, span)
+/// aggregates over the group's rows in input order.
 pub fn sta(
     relation: &TemporalRelation,
     grouping: &[&str],
     aggregates: &[AggregateSpec],
     spans: &SpanSpec,
 ) -> Result<SequentialRelation, ItaError> {
-    if aggregates.is_empty() {
-        return Err(ItaError::no_aggregates());
-    }
-    let schema = relation.schema();
-    let group_idx = schema.indices_of(grouping)?;
-    let mut arg_idx: Vec<Option<usize>> = Vec::with_capacity(aggregates.len());
-    for agg in aggregates {
-        if agg.function == AggregateFunction::Count && agg.attribute == "*" {
-            arg_idx.push(None);
-        } else {
-            arg_idx.push(Some(schema.index_of(&agg.attribute)?));
-        }
-    }
+    let columns = Columns::resolve(relation.schema(), grouping, aggregates)?;
     let spans = spans.spans(relation.time_extent())?;
-
-    let mut partitions: BTreeMap<GroupKey, Vec<(TimeInterval, Vec<f64>)>> = BTreeMap::new();
-    for tuple in relation.iter() {
-        let key = GroupKey::new(tuple.project(&group_idx));
-        let mut values = Vec::with_capacity(arg_idx.len());
-        for (ai, agg) in arg_idx.iter().zip(aggregates) {
-            let v = match ai {
-                None => 0.0,
-                Some(i) => tuple.value(*i).as_f64().ok_or_else(|| {
-                    ItaError::NonNumericAggregate { attribute: agg.attribute.clone() }
-                })?,
-            };
-            values.push(v);
-        }
-        partitions.entry(key).or_default().push((tuple.interval(), values));
-    }
+    let part = Partition::new(relation, &columns)?;
 
     let p = aggregates.len();
     let mut builder = SequentialBuilder::new(p);
-    for (key, rows) in partitions {
+    let mut accs: Vec<Accumulator> =
+        aggregates.iter().map(|a| Accumulator::for_function(a.function)).collect();
+    let mut values = vec![0.0; p];
+    for (g, key) in part.keys().iter().enumerate() {
+        // Interned at the group's first tuple: a group no span overlaps
+        // names no key.
+        let mut id = None;
         for span in &spans {
-            let mut accs: Vec<Accumulator> =
-                aggregates.iter().map(|a| Accumulator::for_function(a.function)).collect();
+            for (acc, agg) in accs.iter_mut().zip(aggregates) {
+                *acc = Accumulator::for_function(agg.function);
+            }
             let mut any = false;
-            for (interval, values) in &rows {
-                if interval.overlaps(span) {
+            for &row in part.rows(g) {
+                if part.interval(row).overlaps(span) {
                     any = true;
-                    for (acc, &v) in accs.iter_mut().zip(values) {
+                    for (acc, &v) in accs.iter_mut().zip(part.args(row)) {
                         acc.insert(v);
                     }
                 }
             }
             if any {
-                let values: Vec<f64> = accs
-                    .iter()
+                for (v, acc) in values.iter_mut().zip(&accs) {
                     // pta-lint: allow(no-panic-in-lib) — `any` is only set
                     // after inserting into every accumulator in the group.
-                    .map(|a| a.value().expect("non-empty span group"))
-                    .collect();
-                builder.push(key.clone(), *span, &values)?;
+                    *v = acc.value().expect("non-empty span group");
+                }
+                let group = *id.get_or_insert_with(|| builder.intern(key.clone()));
+                builder.push_id(group, *span, &values)?;
             }
         }
     }

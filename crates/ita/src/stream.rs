@@ -6,14 +6,20 @@
 //! begin *before* the full ITA result exists: the paper's "trivial
 //! modifications to the ITA algorithm ... to allow processing the tuples
 //! one by one as they become available".
+//!
+//! The iterator holds the argument relation partitioned by group, the
+//! partition [`fn@crate::ita`] sweeps: the rows' argument values in one
+//! flat `n × p` buffer, their timestamps, and one key per group. It sweeps
+//! one group at a time and holds only that group's ITA tuples, never the
+//! whole result.
 
-use std::collections::BTreeMap;
+use std::convert::Infallible;
 
-use pta_temporal::{Chronon, GroupKey, TemporalRelation, TimeInterval};
+use pta_temporal::{GroupKey, TemporalRelation, TimeInterval};
 
-use crate::aggregate::{Accumulator, AggregateFunction};
 use crate::error::ItaError;
 use crate::ita::ItaQuerySpec;
+use crate::partition::{Partition, Sweep};
 
 /// One ITA result tuple: group key, maximal constant interval, `p`
 /// aggregate values.
@@ -27,193 +33,35 @@ pub struct ItaRow {
     pub values: Vec<f64>,
 }
 
-/// Sweep event: at chronon `t`, the row with the given argument values
-/// enters (`start`) or leaves the live set.
-#[derive(Debug, Clone)]
-struct Event {
-    t: Chronon,
-    row: usize,
-    start: bool,
-}
-
-/// Per-group chronological sweep state.
-#[derive(Debug)]
-pub(crate) struct GroupSweep {
-    /// Argument values per input row, one `f64` per aggregate spec.
-    row_values: Vec<Vec<f64>>,
-    events: Vec<Event>,
-    pos: usize,
-    accumulators: Vec<Accumulator>,
-    live: usize,
-    prev_t: Chronon,
-    /// Constant run awaiting coalescing with the next emission.
-    pending: Option<(TimeInterval, Vec<f64>)>,
-    drained: bool,
-}
-
-impl GroupSweep {
-    fn new(rows: Vec<(TimeInterval, Vec<f64>)>, functions: &[AggregateFunction]) -> Self {
-        let mut row_values = Vec::with_capacity(rows.len());
-        let mut events = Vec::with_capacity(rows.len() * 2);
-        for (i, (interval, values)) in rows.into_iter().enumerate() {
-            events.push(Event { t: interval.start(), row: i, start: true });
-            events.push(Event { t: interval.end() + 1, row: i, start: false });
-            row_values.push(values);
-        }
-        events.sort_by_key(|e| e.t);
-        let accumulators = functions.iter().map(|&f| Accumulator::for_function(f)).collect();
-        Self {
-            row_values,
-            events,
-            pos: 0,
-            accumulators,
-            live: 0,
-            prev_t: 0,
-            pending: None,
-            drained: false,
-        }
-    }
-
-    /// Advances the sweep until one coalesced ITA row is complete.
-    pub(crate) fn next_row(&mut self) -> Option<(TimeInterval, Vec<f64>)> {
-        loop {
-            if self.pos >= self.events.len() {
-                if self.drained {
-                    return None;
-                }
-                self.drained = true;
-                return self.pending.take();
-            }
-            let t = self.events[self.pos].t;
-            let mut flushed = None;
-            if self.live > 0 && self.prev_t < t {
-                // pta-lint: allow(no-panic-in-lib) — `prev_t < t` makes the run non-empty.
-                let interval = TimeInterval::new(self.prev_t, t - 1).expect("prev_t < t");
-                let values: Vec<f64> = self
-                    .accumulators
-                    .iter()
-                    // pta-lint: allow(no-panic-in-lib) — `live > 0` means
-                    // every accumulator saw at least one insert.
-                    .map(|a| a.value().expect("live > 0 implies a defined aggregate"))
-                    .collect();
-                flushed = self.coalesce_emit(interval, values);
-            }
-            while self.pos < self.events.len() && self.events[self.pos].t == t {
-                let ev = &self.events[self.pos];
-                let vals = &self.row_values[ev.row];
-                for (acc, &v) in self.accumulators.iter_mut().zip(vals) {
-                    if ev.start {
-                        acc.insert(v);
-                    } else {
-                        acc.remove(v);
-                    }
-                }
-                if ev.start {
-                    self.live += 1;
-                } else {
-                    self.live -= 1;
-                }
-                self.pos += 1;
-            }
-            self.prev_t = t;
-            if flushed.is_some() {
-                return flushed;
-            }
-        }
-    }
-
-    /// Coalescing step of Def. 1: extends the pending run when the new run
-    /// meets it with identical aggregate values; otherwise the pending run
-    /// is complete and returned.
-    fn coalesce_emit(
-        &mut self,
-        interval: TimeInterval,
-        values: Vec<f64>,
-    ) -> Option<(TimeInterval, Vec<f64>)> {
-        match &mut self.pending {
-            Some((piv, pvals)) if piv.meets(&interval) && *pvals == values => {
-                *piv = piv.span(&interval);
-                None
-            }
-            _ => self.pending.replace((interval, values)),
-        }
-    }
-}
-
-/// A group's raw rows awaiting their sweep: `(interval, argument values)`.
-type GroupRows = Vec<(TimeInterval, Vec<f64>)>;
-
 /// Iterator producing the ITA result of a query one tuple at a time, in
 /// (group, time) order.
 #[derive(Debug)]
 pub struct StreamingIta {
-    functions: Vec<AggregateFunction>,
-    /// Remaining groups in ascending key order; reversed so `pop` yields
-    /// the next group.
-    groups: Vec<(GroupKey, GroupRows)>,
-    current: Option<(GroupKey, GroupSweep)>,
+    part: Partition,
+    sweep: Sweep,
+    /// The next group to sweep.
+    next_group: usize,
+    /// The ITA tuples of group `next_group − 1`: timestamps, and `p`
+    /// values each.
+    intervals: Vec<TimeInterval>,
+    values: Vec<f64>,
+    /// The next tuple of the current group to yield.
+    next: usize,
 }
 
 impl StreamingIta {
-    /// Partitions `relation` by the query's grouping attributes and
-    /// prepares per-group sweeps. Fails when the query is malformed (no
-    /// aggregates, unknown or non-numeric attributes).
+    /// Partitions `relation` by the query's grouping attributes. Fails
+    /// when the query is malformed (no aggregates, unknown or non-numeric
+    /// attributes).
     pub fn new(relation: &TemporalRelation, spec: &ItaQuerySpec) -> Result<Self, ItaError> {
-        if spec.aggregates.is_empty() {
-            return Err(ItaError::no_aggregates());
-        }
-        let schema = relation.schema();
-        let group_idx =
-            schema.indices_of(&spec.grouping.iter().map(String::as_str).collect::<Vec<_>>())?;
-        // Resolve each aggregate's argument column; count(*) takes none.
-        let mut arg_idx: Vec<Option<usize>> = Vec::with_capacity(spec.aggregates.len());
-        for agg in &spec.aggregates {
-            if agg.function == AggregateFunction::Count && agg.attribute == "*" {
-                arg_idx.push(None);
-            } else {
-                arg_idx.push(Some(schema.index_of(&agg.attribute)?));
-            }
-        }
-
-        let mut partitions: BTreeMap<GroupKey, Vec<(TimeInterval, Vec<f64>)>> = BTreeMap::new();
-        for tuple in relation.iter() {
-            let key = GroupKey::new(tuple.project(&group_idx));
-            let mut values = Vec::with_capacity(arg_idx.len());
-            for (ai, agg) in arg_idx.iter().zip(&spec.aggregates) {
-                let v = match ai {
-                    None => 0.0, // count(*) ignores the argument
-                    Some(i) => tuple.value(*i).as_f64().ok_or_else(|| {
-                        ItaError::NonNumericAggregate { attribute: agg.attribute.clone() }
-                    })?,
-                };
-                values.push(v);
-            }
-            partitions.entry(key).or_default().push((tuple.interval(), values));
-        }
-
-        let mut groups: Vec<_> = partitions.into_iter().collect();
-        groups.reverse();
-        Ok(Self {
-            functions: spec.aggregates.iter().map(|a| a.function).collect(),
-            groups,
-            current: None,
-        })
+        let part = Partition::for_query(relation, spec)?;
+        let sweep = part.sweep();
+        Ok(Self { part, sweep, next_group: 0, intervals: Vec::new(), values: Vec::new(), next: 0 })
     }
 
     /// Number of aggregate dimensions `p` of the produced rows.
     pub fn dims(&self) -> usize {
-        self.functions.len()
-    }
-
-    /// The groups not yet started, in key order, each with the sweep that
-    /// yields its rows: one key per group rather than one per row.
-    pub(crate) fn into_groups(self) -> impl Iterator<Item = (GroupKey, GroupSweep)> {
-        debug_assert!(self.current.is_none(), "a started group would be lost");
-        let functions = self.functions;
-        self.groups.into_iter().rev().map(move |(key, rows)| {
-            let sweep = GroupSweep::new(rows, &functions);
-            (key, sweep)
-        })
+        self.part.dims()
     }
 }
 
@@ -221,17 +69,29 @@ impl Iterator for StreamingIta {
     type Item = ItaRow;
 
     fn next(&mut self) -> Option<ItaRow> {
-        loop {
-            if let Some((key, sweep)) = &mut self.current {
-                if let Some((interval, values)) = sweep.next_row() {
-                    return Some(ItaRow { key: key.clone(), interval, values });
-                }
-                self.current = None;
+        while self.next == self.intervals.len() {
+            let group = self.next_group;
+            if group == self.part.groups() {
+                return None;
             }
-            let (key, rows) = self.groups.pop()?;
-            let sweep = GroupSweep::new(rows, &self.functions);
-            self.current = Some((key, sweep));
+            self.next_group += 1;
+            self.intervals.clear();
+            self.values.clear();
+            self.next = 0;
+            let (intervals, values) = (&mut self.intervals, &mut self.values);
+            let Ok(()) = self.sweep.run(&self.part, group, |interval, row| {
+                intervals.push(interval);
+                values.extend_from_slice(row);
+                Ok::<(), Infallible>(())
+            });
         }
+        let (i, p) = (self.next, self.dims());
+        self.next += 1;
+        Some(ItaRow {
+            key: self.part.keys()[self.next_group - 1].clone(),
+            interval: self.intervals[i],
+            values: self.values[i * p..(i + 1) * p].to_vec(),
+        })
     }
 }
 

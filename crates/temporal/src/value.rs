@@ -35,7 +35,9 @@ impl DataType {
 ///
 /// Values are used both as data and as grouping keys, so they implement
 /// `Eq`/`Hash`. To make floats hashable we reject NaN at the [`Value::float`]
-/// constructor and normalise `-0.0` to `0.0`.
+/// constructor and normalise `-0.0` to `0.0`. A `Value::Float(-0.0)` built
+/// directly equals, orders and hashes as `0.0`, so it falls in the same
+/// group.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit signed integer.
@@ -122,7 +124,9 @@ impl Ord for Value {
         }
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            (Value::Float(a), Value::Float(b)) => {
+                signed_zero_as_zero(*a).total_cmp(&signed_zero_as_zero(*b))
+            }
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             _ => rank(self).cmp(&rank(other)),
@@ -139,7 +143,7 @@ impl Hash for Value {
             }
             Value::Float(v) => {
                 1u8.hash(state);
-                v.to_bits().hash(state);
+                signed_zero_as_zero(*v).to_bits().hash(state);
             }
             Value::Str(v) => {
                 2u8.hash(state);
@@ -150,6 +154,16 @@ impl Hash for Value {
                 v.hash(state);
             }
         }
+    }
+}
+
+/// `v` with `-0.0` read as `0.0`, the float `Value`'s `Ord` and `Hash` see:
+/// its `Eq` already equates the two zeros.
+fn signed_zero_as_zero(v: f64) -> f64 {
+    if v == 0.0 {
+        0.0
+    } else {
+        v
     }
 }
 
@@ -206,6 +220,15 @@ mod tests {
         let b = Value::float(-0.0).unwrap();
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn a_directly_built_negative_zero_orders_and_hashes_as_zero() {
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg, pos);
+        assert_eq!(neg.cmp(&pos), std::cmp::Ordering::Equal);
+        assert_eq!(hash_of(&neg), hash_of(&pos));
+        assert!(Value::Float(-1e-300) < neg && pos < Value::Float(1e-300));
     }
 
     #[test]

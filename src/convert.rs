@@ -71,10 +71,11 @@ fn render(
     }
     let mut rel = TemporalRelation::new(Schema::new(attrs)?);
     for i in 0..seq.len() {
-        let key = seq.group_key(seq.group(i))?;
-        let mut values: Vec<Value> = key.values().to_vec();
-        for d in 0..seq.dims() {
-            values.push(Value::float(seq.value(i, d))?);
+        let key = seq.group_key(seq.group(i))?.values();
+        let mut values = Vec::with_capacity(key.len() + seq.dims());
+        values.extend_from_slice(key);
+        for &v in seq.values(i) {
+            values.push(Value::float(v)?);
         }
         rel.push(values, seq.interval(i))?;
     }

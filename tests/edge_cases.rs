@@ -9,8 +9,8 @@ use pta_core::{
     Weights,
 };
 use pta_temporal::{
-    DataType, GroupKey, Schema, SequentialBuilder, SequentialRelation, TemporalRelation,
-    TimeInterval, Value,
+    DataType, GroupInterner, GroupKey, Schema, SequentialBuilder, SequentialRelation,
+    TemporalRelation, TimeInterval, Value,
 };
 
 #[test]
@@ -330,5 +330,39 @@ fn empty_grouped_input_renders_an_empty_table() {
         let table = ita_table(rel, &grouping, aggs).unwrap();
         assert_eq!(table.len(), rel.len());
         assert_eq!(table.schema().to_string(), expected);
+    }
+}
+
+/// `Value::Float(-0.0)` equals `Value::Float(0.0)`, so rows grouped by a
+/// float column holding both zeros form one group: one ITA group, one
+/// interned key, and a reduction to one tuple.
+#[test]
+fn negative_and_positive_zero_keys_form_one_group() {
+    let schema = Schema::of(&[("F", DataType::Float), ("V", DataType::Int)]).unwrap();
+    let rel = TemporalRelation::from_rows(
+        schema,
+        [
+            (vec![Value::Float(-0.0), Value::Int(1)], TimeInterval::new(1, 2).unwrap()),
+            (vec![Value::Float(0.0), Value::Int(3)], TimeInterval::new(3, 4).unwrap()),
+        ],
+    )
+    .unwrap();
+    let spec = pta_ita::ItaQuerySpec::new(&["F"], vec![Agg::avg("V")]);
+    let seq = pta_ita::ita(&rel, &spec).unwrap();
+    assert_eq!(seq.group_keys().len(), 1);
+    assert_eq!(seq.cmin(), 1);
+    let mut interner = GroupInterner::new();
+    let neg = interner.intern(GroupKey::new(vec![Value::Float(-0.0)]));
+    assert_eq!(interner.intern(GroupKey::new(vec![Value::Float(0.0)])), neg);
+    for algorithm in [Algorithm::Exact, Algorithm::Greedy { delta: Delta::Finite(1) }] {
+        let out = PtaQuery::new()
+            .group_by(&["F"])
+            .aggregate(Agg::avg("V"))
+            .bound(Bound::Size(1))
+            .algorithm(algorithm)
+            .execute(&rel)
+            .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
+        assert_eq!(out.table.len(), 1, "{algorithm:?}");
+        assert_eq!(out.reduction.relation().value(0, 0), 2.0, "{algorithm:?}");
     }
 }
