@@ -2,13 +2,13 @@
 //! [`crate::StreamingIta`] and [`fn@crate::sta`].
 //!
 //! [`Partition::new`] reads the argument relation once into flat buffers:
-//! the rows' argument values (`n × p`, row-major) and timestamps, both in
-//! group order. The order comes from one sort of the row indices by a code
-//! per grouping value, a `u64` whose order within a column is
-//! `Value::cmp`'s (`Int`, `Float` and `Bool` by bit transforms, `Str` by
-//! rank among the column's distinct strings). The sort is stable, so each
-//! group keeps its rows in input order. Each group's [`GroupKey`] is built
-//! once, from its first row.
+//! the rows' argument values (`n × p`, row-major) and timestamps in input
+//! order, and the row indices in group order. That order comes from one
+//! stable sort of the row indices by a code per grouping value, a `u64`
+//! whose order within a column is `Value::cmp`'s (`Int`, `Float` and
+//! `Bool` by bit transforms, `Str` by rank among the column's distinct
+//! strings), so each group keeps its rows in input order. Each group's
+//! [`GroupKey`] is built once, from its first row.
 //!
 //! [`Sweep`] evaluates the ITA of one group at a time. Its event buffer,
 //! accumulators and pending-row buffer are reused from group to group, so
@@ -101,6 +101,9 @@ impl Partition {
                 });
             }
             intervals.push(tuple.interval());
+            // A column holds values of its schema type only (checked by
+            // `TemporalRelation::push`), so one column's codes compare
+            // values of one type.
             for (&col, ranks) in columns.group.iter().zip(&mut strings) {
                 codes.push(match tuple.value(col) {
                     Value::Int(v) => (*v as u64) ^ (1 << 63),
@@ -114,7 +117,6 @@ impl Partition {
             ranks.into_ranks(&mut codes, c, k);
         }
         let (order, starts) = group_order(&codes, k, n);
-        drop(codes);
         let tuples = relation.tuples();
         let keys = starts[..starts.len() - 1]
             .iter()
@@ -188,22 +190,12 @@ fn float_code(v: f64) -> u64 {
 #[derive(Default)]
 struct StrRanks<'a> {
     ids: HashMap<&'a str, u64>,
-    /// The previous row's string and id: runs of equal strings skip the
-    /// hash.
-    last: Option<(&'a str, u64)>,
 }
 
 impl<'a> StrRanks<'a> {
     fn id(&mut self, s: &'a str) -> u64 {
-        if let Some((last, id)) = self.last {
-            if last == s {
-                return id;
-            }
-        }
         let next = self.ids.len() as u64;
-        let id = *self.ids.entry(s).or_insert(next);
-        self.last = Some((s, id));
-        id
+        *self.ids.entry(s).or_insert(next)
     }
 
     /// Replaces the ids of column `c` in the row-major `codes` of `k`
@@ -228,50 +220,15 @@ impl<'a> StrRanks<'a> {
 /// The row indices in group order (ascending by their `k` codes, input
 /// order within equal codes), and where each group starts in that order,
 /// closed by `n`.
-///
-/// When the codes' ranges and the row index fit in 64 bits together, each
-/// row is one packed `u64` and the sort compares integers; otherwise the
-/// rows are sorted stably by their code slices.
 fn group_order(codes: &[u64], k: usize, n: usize) -> (Vec<usize>, Vec<usize>) {
     let code = |row: usize| &codes[row * k..(row + 1) * k];
-    if k == 0 || n == 0 {
-        let starts = if n == 0 { vec![0] } else { vec![0, n] };
-        return ((0..n).collect(), starts);
-    }
-    let mut lo = code(0).to_vec();
-    let mut hi = lo.clone();
-    for row in codes.chunks_exact(k) {
-        for ((l, h), &c) in lo.iter_mut().zip(&mut hi).zip(row) {
-            *l = (*l).min(c);
-            *h = (*h).max(c);
-        }
-    }
-    let width = |c: usize| 64 - (hi[c] - lo[c]).leading_zeros();
-    let key_bits: u32 = (0..k).map(width).sum();
-    let row_bits = 64 - ((n - 1) as u64).leading_zeros();
-    let order: Vec<usize> = if key_bits + row_bits > 64 {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| code(a).cmp(code(b)));
-        order
-    } else {
-        let mut packed: Vec<u64> = codes
-            .chunks_exact(k)
-            .enumerate()
-            .map(|(row, cs)| {
-                let key = cs
-                    .iter()
-                    .enumerate()
-                    .fold(0u128, |key, (c, &v)| (key << width(c)) | u128::from(v - lo[c]));
-                ((key as u64) << row_bits) | row as u64
-            })
-            .collect();
-        packed.sort_unstable();
-        let mask = if row_bits == 64 { u64::MAX } else { (1 << row_bits) - 1 };
-        packed.into_iter().map(|x| (x & mask) as usize).collect()
-    };
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| code(a).cmp(code(b)));
     let mut starts = vec![0];
     starts.extend((1..n).filter(|&i| code(order[i]) != code(order[i - 1])));
-    starts.push(n);
+    if n > 0 {
+        starts.push(n);
+    }
     (order, starts)
 }
 
@@ -450,29 +407,6 @@ mod tests {
         assert_eq!(part.groups(), 2);
         assert_eq!(part.rows(0), &[0, 2]);
         assert!(matches!(part.keys()[0].values(), [Value::Float(z)] if z.is_sign_negative()));
-    }
-
-    /// Narrow codes take the packed sort and wide ones the slice sort;
-    /// both give the stable order of the rows by their codes.
-    #[test]
-    fn packed_and_slice_sorts_agree_with_a_stable_sort() {
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (k, spread) in [(1, 5), (2, 3), (3, u64::MAX), (2, 1 << 40)] {
-            let n = 300;
-            let codes: Vec<u64> = (0..n * k).map(|_| next() % spread.max(1)).collect();
-            let mut expected: Vec<usize> = (0..n).collect();
-            expected.sort_by(|&a, &b| codes[a * k..(a + 1) * k].cmp(&codes[b * k..(b + 1) * k]));
-            let (order, starts) = group_order(&codes, k, n);
-            assert_eq!(order, expected, "k={k} spread={spread}");
-            assert_eq!(starts.first(), Some(&0));
-            assert_eq!(starts.last(), Some(&n));
-        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! The iterator holds the argument relation partitioned by group, the
 //! partition [`fn@crate::ita`] sweeps: the rows' argument values in one
-//! flat `n × p` buffer, their timestamps, and one key per group. It sweeps
-//! one group at a time and holds only that group's ITA tuples, never the
-//! whole result.
+//! flat `n × p` buffer, their timestamps, their group order and one key
+//! per group. It sweeps one group at a time and holds only that group's
+//! ITA tuples, never the whole result.
 
 use std::convert::Infallible;
 
