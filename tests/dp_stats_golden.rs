@@ -13,6 +13,10 @@
 //! gap-free unsorted input (`n = 256`) at `c = 10`, `ε = 0.5` probes
 //! strides `[8, 2, 1]`, so sparsified probes, the 4× refinement and the exact
 //! stride-1 fallback all appear in the file.
+//!
+//! Every input but the last is one-dimensional under unit weights. The
+//! last has `p = 3` and non-uniform weights, so the range-SSE kernel's
+//! any-`p` path is pinned too, not only its `p = 1` path.
 
 mod common;
 
@@ -39,12 +43,19 @@ const STRATEGIES: [DpStrategy; 6] = [
     DpStrategy::Approx(0.5),
 ];
 
-fn inputs() -> Vec<(&'static str, SequentialRelation)> {
+/// The inputs of the grid, each with the SSE weights its runs use.
+fn inputs() -> Vec<(&'static str, SequentialRelation, Weights)> {
+    let unit = || Weights::uniform(1);
     vec![
-        ("fig1c", fig1c()),
-        ("gap-rich", random_sequential_continuous(1401, 160, 1, 0.06, 0.12)),
-        ("gap-free", random_sequential_trendy(1402, 256, 1, 0.0, 0.0, 0.5)),
-        ("trend", random_sequential_trendy(1403, 160, 1, 0.0, 0.0, 0.0)),
+        ("fig1c", fig1c(), unit()),
+        ("gap-rich", random_sequential_continuous(1401, 160, 1, 0.06, 0.12), unit()),
+        ("gap-free", random_sequential_trendy(1402, 256, 1, 0.0, 0.0, 0.5), unit()),
+        ("trend", random_sequential_trendy(1403, 160, 1, 0.0, 0.0, 0.0), unit()),
+        (
+            "p3-weighted",
+            random_sequential_continuous(1404, 120, 3, 0.06, 0.12),
+            Weights::new(&[1.0, 0.5, 2.0]).expect("valid weights"),
+        ),
     ]
 }
 
@@ -96,10 +107,9 @@ fn opts(mode: DpMode, strategy: DpStrategy) -> DpOptions {
 /// Every run of the grid, one `id: result` line each, in a fixed order.
 fn actual_rows() -> Vec<String> {
     let mut rows = Vec::new();
-    for (name, input) in inputs() {
+    for (name, input, w) in inputs() {
         let n = input.len();
         let cmin = input.cmin();
-        let w = Weights::uniform(1);
         let mut sizes = vec![cmin, (n / 4).max(cmin)];
         if (cmin..n).contains(&10) {
             sizes.push(10);
