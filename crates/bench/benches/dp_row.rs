@@ -1,9 +1,9 @@
 //! Criterion microbenchmark of a *single* forward DP row fill — the
 //! innermost unit of the exact algorithms, isolated from backtracking and
-//! row iteration. Pins the two satellite optimizations of the Monge PR:
-//! the slice-zipped `PrefixStats::range_sse` inner loop and the
-//! window-decomposed fill (gap lookups hoisted out of the cell loop),
-//! and shows the scan-vs-SMAWK gap per row class:
+//! row iteration. Pins the range-SSE kernel anchored at each cell (the
+//! cell's row read once, `p = 1` compiled in) and the window-decomposed
+//! fill (gap lookups hoisted out of the cell loop), and shows the
+//! scan-vs-SMAWK gap per row class:
 //!
 //! * `trend` — gap-free monotone data: one Monge-certified window
 //!   spanning the row; Scan is `O(n²)`, Monge is `O(n)`.

@@ -63,6 +63,12 @@
 //!   rows and do no `lb` work per candidate: the window scan is compiled
 //!   once with the bracket and once without.
 //!
+//! Every range SSE a fill evaluates comes from the prefix-sum kernel
+//! anchored at the end its ranges share (see [`crate::prefix`]): the
+//! cell in a scan, the break in a forced window, the subproblem's edge
+//! in row 1. Each window picks the kernel's `p = 1` or any-`p`
+//! instantiation once.
+//!
 //! # Backtracking modes and their memory model
 //!
 //! Error values only ever need two `(n + 1)`-entry rows, so the memory
@@ -948,6 +954,33 @@ impl DpEngine {
         }
     }
 
+    /// Calls `f(i, SSE)` for every free end `i` in `ends` of the ranges
+    /// anchored at `at` — `at..i` when `up`, `i..at` otherwise — with the
+    /// kernel compiled for this engine's `p`. The ranges must cross no
+    /// break.
+    #[inline]
+    fn sweep(&self, at: usize, ends: RangeInclusive<usize>, up: bool, f: impl FnMut(usize, f64)) {
+        if self.stats.dims() == 1 {
+            self.sweep_p::<true>(at, ends, up, f);
+        } else {
+            self.sweep_p::<false>(at, ends, up, f);
+        }
+    }
+
+    #[inline]
+    fn sweep_p<const ONE: bool>(
+        &self,
+        at: usize,
+        ends: RangeInclusive<usize>,
+        up: bool,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        let sse = self.stats.anchor::<ONE>(&self.weights, at);
+        for i in ends {
+            f(i, if up { sse.to(i) } else { sse.from(i) });
+        }
+    }
+
     /// Whether the tuple range `[lo, hi)` carries the Monge certificate:
     /// values monotone in every dimension, so the window's cost matrix
     /// provably satisfies the quadrangle inequality (see [`monge`]).
@@ -1039,11 +1072,19 @@ impl DpEngine {
         let mut cells = Cells::default();
         if k == 1 {
             // First row: the whole (sub)prefix merges into one tuple —
-            // exact on both brackets, there is nothing to sparsify.
-            for i in (lo + 1)..=imax {
-                let cost = self.cost(lo, i);
+            // exact on both brackets, there is nothing to sparsify. A
+            // pruned row ends at the first break above `lo`, so none of
+            // its ranges crosses a break.
+            let put = |out: &mut RowOut<'_>, i: usize, cost: f64| {
                 out.put(i, cost, cost);
                 out.split(i, lo);
+            };
+            if self.prune {
+                self.sweep(lo, (lo + 1)..=imax, true, |i, cost| put(&mut out, i, cost));
+            } else {
+                for i in (lo + 1)..=imax {
+                    put(&mut out, i, self.cost(lo, i));
+                }
             }
             cells.scan += (imax - lo) as u64;
             return Ok(cells);
@@ -1145,11 +1186,10 @@ impl DpEngine {
             WindowTask::Forced { g, feasible } => {
                 cells.scan += w.cells() as u64;
                 if feasible {
-                    for i in w.ws..=w.we {
-                        let err2 = self.stats.range_sse(&self.weights, g..i);
+                    self.sweep(g, w.ws..=w.we, true, |i, err2| {
                         out.put(i, prev.get(g) + err2, prev.lower(g) + err2);
                         out.split(i, g);
-                    }
+                    });
                 }
             }
             WindowTask::Open { jbound: jmin, engine } => {
@@ -1161,10 +1201,11 @@ impl DpEngine {
                         return cells;
                     }
                 }
-                cells.scan += if prev.lb.is_some() {
-                    self.scan_fwd::<true>(w, jmin, stride, prev, out)
-                } else {
-                    self.scan_fwd::<false>(w, jmin, stride, prev, out)
+                cells.scan += match (prev.lb.is_some(), self.stats.dims() == 1) {
+                    (true, true) => self.scan_fwd::<true, true>(w, jmin, stride, prev, out),
+                    (true, false) => self.scan_fwd::<true, false>(w, jmin, stride, prev, out),
+                    (false, true) => self.scan_fwd::<false, true>(w, jmin, stride, prev, out),
+                    (false, false) => self.scan_fwd::<false, false>(w, jmin, stride, prev, out),
                 };
             }
         }
@@ -1185,7 +1226,7 @@ impl DpEngine {
     /// split moves left and `SSE(j..i) ≥ SSE(j + b − 1..i)`. Without
     /// `BRACKET` the loop is the exact scan and does no bracket work.
     #[inline]
-    fn scan_fwd<const BRACKET: bool>(
+    fn scan_fwd<const BRACKET: bool, const ONE: bool>(
         &self,
         w: &RowWindow,
         jmin: usize,
@@ -1200,14 +1241,19 @@ impl DpEngine {
             if BRACKET && !w.on_grid(i, b) {
                 continue;
             }
+            // Every candidate's range ends at i: the kernel reads row i
+            // once per cell. j ≥ jmin guarantees no range crosses a break.
+            let sse = self.stats.anchor::<ONE>(&self.weights, i);
             let mut best = f64::INFINITY;
             let mut lb_best = f64::INFINITY;
             let mut best_j = jmin;
             let mut j = if BRACKET { ((i - 1) / b * b).max(jmin) } else { i - 1 };
+            // The first candidate is peeled out of the loop: on the exact
+            // scan it is the one-tuple range j = i − 1, whose SSE the
+            // kernel returns as exactly 0 without evaluating the formula.
+            let mut err2 = sse.from(j);
             loop {
                 evals += 1;
-                // j ≥ jmin guarantees the range crosses no break.
-                let err2 = self.stats.range_sse(&self.weights, j..i);
                 let total = prev.get(j) + err2;
                 if total < best {
                     best = total;
@@ -1221,7 +1267,7 @@ impl DpEngine {
                         err2
                     } else {
                         evals += 1;
-                        self.stats.range_sse(&self.weights, (j + b - 1).min(i)..i)
+                        sse.from((j + b - 1).min(i))
                     };
                     let lb_total = lb_prev[j - prev.at] + low;
                     if lb_total < lb_best {
@@ -1235,6 +1281,7 @@ impl DpEngine {
                     break;
                 }
                 j = if BRACKET && j < jmin + b { jmin } else { j - b };
+                err2 = sse.from(j);
             }
             if BRACKET {
                 out.put(i, best, lb_best);
@@ -1430,9 +1477,13 @@ impl DpEngine {
         out.reset(imin..=(hi - k));
         let mut cells = Cells::default();
         if k == 1 {
-            for i in imin..=(hi - 1) {
-                let cost = self.cost(i, hi);
-                out.put(i, cost, cost);
+            if self.prune {
+                self.sweep(hi, imin..=(hi - 1), false, |i, cost| out.put(i, cost, cost));
+            } else {
+                for i in imin..=(hi - 1) {
+                    let cost = self.cost(i, hi);
+                    out.put(i, cost, cost);
+                }
             }
             cells.scan += (hi - imin) as u64;
             return Ok(cells);
@@ -1526,10 +1577,9 @@ impl DpEngine {
             WindowTask::Forced { g, feasible } => {
                 cells.scan += w.cells() as u64;
                 if feasible {
-                    for i in w.ws..=w.we {
-                        let err2 = self.stats.range_sse(&self.weights, i..g);
+                    self.sweep(g, w.ws..=w.we, false, |i, err2| {
                         out.put(i, err2 + prev.get(g), err2 + prev.lower(g));
-                    }
+                    });
                 }
             }
             WindowTask::Open { jbound: jmax, engine } => {
@@ -1541,10 +1591,11 @@ impl DpEngine {
                         return cells;
                     }
                 }
-                cells.scan += if prev.lb.is_some() {
-                    self.scan_bwd::<true>(w, jmax, stride, prev, out)
-                } else {
-                    self.scan_bwd::<false>(w, jmax, stride, prev, out)
+                cells.scan += match (prev.lb.is_some(), self.stats.dims() == 1) {
+                    (true, true) => self.scan_bwd::<true, true>(w, jmax, stride, prev, out),
+                    (true, false) => self.scan_bwd::<true, false>(w, jmax, stride, prev, out),
+                    (false, true) => self.scan_bwd::<false, true>(w, jmax, stride, prev, out),
+                    (false, false) => self.scan_bwd::<false, false>(w, jmax, stride, prev, out),
                 };
             }
         }
@@ -1558,7 +1609,7 @@ impl DpEngine {
     /// *before* the snapped candidate: `SSE(i..j − b + 1)` with the left
     /// end clamped to `i`.
     #[inline]
-    fn scan_bwd<const BRACKET: bool>(
+    fn scan_bwd<const BRACKET: bool, const ONE: bool>(
         &self,
         w: &RowWindow,
         jmax: usize,
@@ -1573,13 +1624,17 @@ impl DpEngine {
             if BRACKET && !w.on_grid(i, b) {
                 continue;
             }
+            // Every candidate's range starts at i; j ≤ jmax guarantees
+            // no range crosses a break.
+            let sse = self.stats.anchor::<ONE>(&self.weights, i);
             let mut best = f64::INFINITY;
             let mut lb_best = f64::INFINITY;
             let mut j = if BRACKET { ((i / b + 1) * b).min(jmax) } else { i + 1 };
+            // The first candidate, peeled: j = i + 1 on the exact scan,
+            // a one-tuple range with SSE exactly 0.
+            let mut err2 = sse.to(j);
             loop {
                 evals += 1;
-                // j ≤ jmax guarantees the range crosses no break.
-                let err2 = self.stats.range_sse(&self.weights, i..j);
                 let total = err2 + prev.get(j);
                 if total < best {
                     best = total;
@@ -1589,7 +1644,7 @@ impl DpEngine {
                         err2
                     } else {
                         evals += 1;
-                        self.stats.range_sse(&self.weights, i..(j + 1).saturating_sub(b).max(i))
+                        sse.to((j + 1).saturating_sub(b).max(i))
                     };
                     let lb_total = low + lb_prev[j - prev.at];
                     if lb_total < lb_best {
@@ -1603,6 +1658,7 @@ impl DpEngine {
                     break;
                 }
                 j = if BRACKET && j + b > jmax { jmax } else { j + b };
+                err2 = sse.to(j);
             }
             if BRACKET {
                 out.put(i, best, lb_best);

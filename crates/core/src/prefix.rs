@@ -22,6 +22,18 @@
 //! relative to its spread (values `1e8 ± 0.5` would lose *all* precision),
 //! which matters because every error figure in the workspace flows through
 //! this kernel.
+//!
+//! # One kernel, anchored at a fixed end
+//!
+//! The formula has one implementation, anchored at one end of the range.
+//! The anchor holds that end's `S`, `SS` and `L` rows and the squared
+//! weights, so each evaluation reads only the other end's row. The exact
+//! DP holds one end fixed for a whole cell, so it builds one anchor per
+//! cell and evaluates every split candidate against it; a range of one
+//! tuple is exactly `0` and the scans skip it without a kernel call. The
+//! kernel is compiled twice: with `p = 1` as a constant, and for any `p`.
+//! [`PrefixStats::range_sse`] is the kernel at the range's end, so a DP
+//! cell, a reduction's SSE and a comparator's error agree to the bit.
 
 use pta_temporal::SequentialRelation;
 
@@ -129,32 +141,42 @@ impl PrefixStats {
     /// The SSE (Prop. 1) of merging tuples `range` into a single tuple,
     /// in `O(p)` time. Returns 0 for ranges of length ≤ 1.
     ///
-    /// This is the innermost expression of every exact-DP cell, so the
-    /// dimension loop runs on `zip`ped subslices: one bounds check per
-    /// slice up front instead of four per dimension, and the weight
-    /// vector is hoisted once.
+    /// This is the anchored kernel the exact DP scans with (see the
+    /// module docs), anchored at `range.end` for one evaluation, so every
+    /// range SSE in the workspace comes from one formula.
     #[inline]
     pub fn range_sse(&self, weights: &Weights, range: std::ops::Range<usize>) -> f64 {
-        debug_assert!(range.end <= self.len());
-        if range.end - range.start <= 1 {
-            return 0.0;
+        debug_assert!(range.start <= range.end);
+        if self.p == 1 {
+            self.anchor::<true>(weights, range.end).from(range.start)
+        } else {
+            self.anchor::<false>(weights, range.end).from(range.start)
         }
-        let dur = self.duration(range.clone());
-        let p = self.p;
-        let (lo, hi) = (range.start * p, range.end * p);
-        let s = self.s[lo..].iter().zip(&self.s[hi..hi + p]);
-        let ss = self.ss[lo..].iter().zip(&self.ss[hi..hi + p]);
-        let w = weights.squared_all();
-        debug_assert_eq!(w.len(), p);
-        let mut err = 0.0;
-        for ((&wd, (sl, sh)), (ql, qh)) in w.iter().zip(s).zip(ss) {
-            let sum = sh - sl;
-            let sq = qh - ql;
-            err += wd * (sq - sum * sum / dur);
+    }
+
+    /// The range-SSE kernel anchored at prefix row `at`: it reads row
+    /// `at`'s sums and the squared weights once, and each evaluation
+    /// reads only the other end's row. `ONE` compiles the kernel for
+    /// `p = 1`; it requires a one-dimensional relation.
+    #[inline]
+    pub(crate) fn anchor<'a, const ONE: bool>(
+        &'a self,
+        weights: &'a Weights,
+        at: usize,
+    ) -> SseAnchor<'a, ONE> {
+        debug_assert!(at <= self.len());
+        debug_assert!(!ONE || self.p == 1, "the p = 1 kernel on a {}-dimensional relation", self.p);
+        debug_assert_eq!(weights.dims(), self.p);
+        let p = if ONE { 1 } else { self.p };
+        let row = at * p..at * p + p;
+        SseAnchor {
+            stats: self,
+            w: weights.squared_all(),
+            s: &self.s[row.clone()],
+            ss: &self.ss[row],
+            l: self.l[at],
+            at,
         }
-        // Cancellation in `sq − sum²/dur` can produce tiny negatives for
-        // (near-)constant ranges; the true SSE is non-negative.
-        err.max(0.0)
     }
 
     /// The SSE of representing tuples `range` by the *arbitrary* constant
@@ -212,6 +234,81 @@ impl PrefixStats {
         for (d, o) in out.iter_mut().enumerate() {
             *o = self.mu[d] + (self.s[hi + d] - self.s[lo + d]) / dur;
         }
+    }
+}
+
+/// The range-SSE kernel with one end of the range fixed: the prefix row
+/// `at`, whose `S`, `SS` and `L` it holds, with the squared weights, from
+/// [`PrefixStats::anchor`]. The exact DP holds one end of every range
+/// fixed for a whole cell (the cell's own prefix length), so a cell reads
+/// the anchor's row once and each split candidate reads only its own.
+///
+/// [`SseAnchor::from`] evaluates `SSE(lo..at)` and [`SseAnchor::to`]
+/// evaluates `SSE(at..hi)`, both as
+///
+/// ```text
+/// max(0, 0 + Σ_d w_d² · (ΔSS_d − ΔS_d² / ΔL))
+/// ```
+///
+/// with every `Δ` taken as the higher row minus the lower one and the
+/// dimensions summed in order, so either anchor returns the same bits
+/// for the same range. `ONE` fixes `p = 1` at compile time; the other
+/// instantiation loops over the relation's `p`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SseAnchor<'a, const ONE: bool> {
+    stats: &'a PrefixStats,
+    /// `w_d²`, `p` entries.
+    w: &'a [f64],
+    /// `S` and `SS` at row `at`, `p` entries each.
+    s: &'a [f64],
+    ss: &'a [f64],
+    /// `L` at row `at`.
+    l: f64,
+    at: usize,
+}
+
+impl<const ONE: bool> SseAnchor<'_, ONE> {
+    /// `SSE(lo..at)`; 0 for ranges of at most one tuple.
+    #[inline(always)]
+    pub(crate) fn from(&self, lo: usize) -> f64 {
+        debug_assert!(lo <= self.at);
+        if self.at - lo <= 1 {
+            0.0
+        } else {
+            self.eval::<true>(lo)
+        }
+    }
+
+    /// `SSE(at..hi)`; 0 for ranges of at most one tuple.
+    #[inline(always)]
+    pub(crate) fn to(&self, hi: usize) -> f64 {
+        debug_assert!(hi >= self.at);
+        if hi - self.at <= 1 {
+            0.0
+        } else {
+            self.eval::<false>(hi)
+        }
+    }
+
+    /// The kernel, with the free end at prefix row `free`: below the
+    /// anchor when `AT_HI`, above it otherwise.
+    #[inline(always)]
+    fn eval<const AT_HI: bool>(&self, free: usize) -> f64 {
+        let st = self.stats;
+        let p = if ONE { 1 } else { st.p };
+        let row = free * p..free * p + p;
+        let (s, ss) = (&st.s[row.clone()], &st.ss[row]);
+        let dur = if AT_HI { self.l - st.l[free] } else { st.l[free] - self.l };
+        let mut err = 0.0;
+        for (((&w, &sa), &qa), (&sf, &qf)) in
+            self.w.iter().zip(self.s).zip(self.ss).zip(s.iter().zip(ss))
+        {
+            let (sum, sq) = if AT_HI { (sa - sf, qa - qf) } else { (sf - sa, qf - qa) };
+            err += w * (sq - sum * sum / dur);
+        }
+        // Cancellation in `sq − sum²/dur` can produce tiny negatives for
+        // (near-)constant ranges; the true SSE is non-negative.
+        err.max(0.0)
     }
 }
 
@@ -399,6 +496,127 @@ mod tests {
         }
         let st2 = PrefixStats::build(&b.build());
         assert!((st2.range_sse(&w, 0..1000) - 250.0).abs() < 1e-6);
+    }
+
+    /// The kernel's reference, kept apart from it: Prop. 1 straight from
+    /// the prefix rows, `0 + Σ_d w_d² (ΔSS_d − ΔS_d² / ΔL)` summed in `d`
+    /// order, before the clamp. `None` for ranges of at most one tuple.
+    fn reference_raw(st: &PrefixStats, w: &Weights, lo: usize, hi: usize) -> Option<f64> {
+        if hi - lo <= 1 {
+            return None;
+        }
+        let p = st.p;
+        let dl = st.l[hi] - st.l[lo];
+        let mut err = 0.0;
+        for d in 0..p {
+            let ds = st.s[hi * p + d] - st.s[lo * p + d];
+            let dss = st.ss[hi * p + d] - st.ss[lo * p + d];
+            err += w.squared(d) * (dss - ds * ds / dl);
+        }
+        Some(err)
+    }
+
+    /// Checks every range `lo..hi` (`lo ≤ hi`) through `range_sse` and
+    /// both anchors of every instantiation that applies — the `p = 1`
+    /// one only on one-dimensional stats — against the reference, bit
+    /// for bit. Returns how many ranges the clamp fired on.
+    fn assert_kernel_matches_reference(st: &PrefixStats, w: &Weights) -> usize {
+        fn check<const ONE: bool>(st: &PrefixStats, w: &Weights, lo: usize, hi: usize, want: f64) {
+            let (at_hi, at_lo) = (st.anchor::<ONE>(w, hi), st.anchor::<ONE>(w, lo));
+            for (name, v) in [("from", at_hi.from(lo)), ("to", at_lo.to(hi))] {
+                assert_eq!(
+                    v.to_bits(),
+                    want.to_bits(),
+                    "ONE={ONE} {name} on {lo}..{hi}: {v} vs reference {want}"
+                );
+            }
+        }
+        let mut clamped = 0;
+        for hi in 0..=st.len() {
+            for lo in 0..=hi {
+                let raw = reference_raw(st, w, lo, hi);
+                clamped += usize::from(raw.is_some_and(|r| r < 0.0));
+                let want = raw.map_or(0.0, |r| r.max(0.0));
+                assert_eq!(
+                    st.range_sse(w, lo..hi).to_bits(),
+                    want.to_bits(),
+                    "range_sse {lo}..{hi}"
+                );
+                check::<false>(st, w, lo, hi, want);
+                if st.dims() == 1 {
+                    check::<true>(st, w, lo, hi, want);
+                }
+            }
+        }
+        clamped
+    }
+
+    /// SplitMix64 in `[0, 1)`: seeded test data without a dependency.
+    fn unit(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// `n` adjacent tuples of 1 to 4 chronons with `p` values each drawn
+    /// by `value(seed state, tuple, dimension)`.
+    fn seeded(
+        seed: u64,
+        n: usize,
+        p: usize,
+        mut value: impl FnMut(&mut u64, usize, usize) -> f64,
+    ) -> SequentialRelation {
+        let mut state = seed;
+        let mut b = SequentialBuilder::new(p);
+        let mut t = 0i64;
+        for i in 0..n {
+            let len = 1 + (unit(&mut state) * 4.0) as i64;
+            let vals: Vec<f64> = (0..p).map(|d| value(&mut state, i, d)).collect();
+            b.push(GroupKey::empty(), TimeInterval::new(t, t + len - 1).unwrap(), &vals).unwrap();
+            t += len;
+        }
+        b.build()
+    }
+
+    #[test]
+    fn anchored_kernel_matches_the_reference_bit_for_bit() {
+        let weights = [1.0, 0.5, 2.0, 3.0, 0.25];
+        let mut clamped = 0;
+        for p in 1..=5 {
+            let w = Weights::new(&weights[..p]).unwrap();
+            // Spread values of mixed scale per dimension.
+            let spread = seeded(1700 + p as u64, 40, p, |st, _, d| {
+                (unit(st) - 0.3) * 10f64.powi(d as i32 * 2 - 2)
+            });
+            assert_kernel_matches_reference(&PrefixStats::build(&spread), &w);
+            // Near-constant ranges: a spread first half, then a constant
+            // level. Ranges in the second half difference large prefix
+            // sums, so `ΔSS − ΔS²/ΔL` cancels to rounding noise around
+            // zero and the clamp fires.
+            let flat = seeded(1800 + p as u64, 40, p, |st, i, d| {
+                let level = 1.0e3 * (d + 1) as f64 + 0.1;
+                if i < 20 {
+                    level + (unit(st) - 0.5) * 1.0e3
+                } else {
+                    level
+                }
+            });
+            clamped += assert_kernel_matches_reference(&PrefixStats::build(&flat), &w);
+        }
+        assert!(clamped > 0, "no near-constant range exercised the clamp");
+        // Centering: values 1e8 ± 0.5, dense and as a relation.
+        let values: Vec<f64> =
+            (0..120).map(|i| 1.0e8 + if i % 2 == 0 { 0.5 } else { -0.5 }).collect();
+        let w = Weights::new(&[1.5]).unwrap();
+        assert_kernel_matches_reference(&PrefixStats::from_dense(&values), &w);
+        let centered = seeded(1900, 120, 1, |_, i, _| values[i]);
+        assert_kernel_matches_reference(&PrefixStats::build(&centered), &w);
+        // An empty relation and p = 0 have nothing to sum.
+        assert_kernel_matches_reference(&PrefixStats::from_dense(&[]), &Weights::uniform(1));
+        let zero_dims = seeded(2000, 6, 0, |_, _, _| 0.0);
+        assert_kernel_matches_reference(&PrefixStats::build(&zero_dims), &Weights::uniform(0));
     }
 
     #[test]

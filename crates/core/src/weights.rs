@@ -19,13 +19,15 @@ impl Weights {
         Self { squared: vec![1.0; p] }
     }
 
-    /// Creates weights from `w_1..w_p`, all of which must be positive and
-    /// finite.
+    /// Creates weights from `w_1..w_p`. Each must be positive, and its
+    /// square a normal finite `f64`: a square that overflows to `∞` makes
+    /// every SSE `∞`, and one that underflows makes every SSE `0`, and
+    /// either way the error no longer orders reductions.
     pub fn new(weights: &[f64]) -> Result<Self, CoreError> {
         for (d, &w) in weights.iter().enumerate() {
-            if !w.is_finite() || w <= 0.0 {
+            if !(w > 0.0 && (w * w).is_normal()) {
                 return Err(CoreError::invalid_weights(format!(
-                    "weight {w} at dimension {d} must be positive and finite"
+                    "weight {w} at dimension {d} must be positive, with a finite, normal square"
                 )));
             }
         }
@@ -72,10 +74,14 @@ mod tests {
 
     #[test]
     fn rejects_non_positive_and_non_finite() {
-        assert!(Weights::new(&[1.0, 0.0]).is_err());
-        assert!(Weights::new(&[-2.0]).is_err());
-        assert!(Weights::new(&[f64::NAN]).is_err());
-        assert!(Weights::new(&[f64::INFINITY]).is_err());
+        // 1e200² overflows to ∞ and 1e-200² underflows to 0.
+        for w in [0.0, -2.0, f64::NAN, f64::INFINITY, 1e200, 1e-200] {
+            let err = Weights::new(&[1.0, w]).unwrap_err();
+            assert!(
+                err.common().is_some_and(pta_temporal::CommonError::is_invalid_parameter),
+                "{w}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -83,6 +89,7 @@ mod tests {
         let w = Weights::new(&[2.0, 3.0]).unwrap();
         assert_eq!(w.squared(0), 4.0);
         assert_eq!(w.squared(1), 9.0);
+        assert!(Weights::new(&[1e150]).unwrap().squared(0).is_normal());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use pta_core::{
     Weights,
 };
 use pta_temporal::{
-    DataType, GroupInterner, GroupKey, Schema, SequentialBuilder, SequentialRelation,
+    CommonError, DataType, GroupInterner, GroupKey, Schema, SequentialBuilder, SequentialRelation,
     TemporalRelation, TimeInterval, Value,
 };
 
@@ -161,6 +161,27 @@ fn facade_rejects_bad_weights() {
         .execute(&rel)
         .unwrap_err();
     assert!(matches!(err, pta::Error::Core(_)));
+    // A weight whose square overflows to ∞ (1e200) or underflows to 0
+    // (1e-200) would make every SSE ∞ or 0; both are invalid weights, for
+    // the exact DP and the greedy path alike.
+    for w in [1e200, 1e-200] {
+        for algorithm in [Algorithm::Exact, Algorithm::Greedy { delta: Delta::Finite(1) }] {
+            let err = PtaQuery::new()
+                .group_by(&["Proj"])
+                .aggregate(Agg::avg("Sal"))
+                .weights(&[w])
+                .algorithm(algorithm)
+                .bound(Bound::Size(4))
+                .execute(&rel)
+                .unwrap_err();
+            let pta::Error::Core(core) = &err else { panic!("{w} {algorithm:?}: {err}") };
+            assert!(
+                core.common().is_some_and(CommonError::is_invalid_parameter),
+                "{w} {algorithm:?}: {err}"
+            );
+            assert!(err.to_string().contains("weight"), "{err}");
+        }
+    }
     let err = PtaQuery::new()
         .group_by(&["Proj"])
         .aggregate(Agg::avg("Sal"))
