@@ -58,8 +58,8 @@ impl CoreError {
         ))
     }
 
-    /// Weights must be positive and finite, one per aggregate dimension
-    /// (Def. 5).
+    /// Weights must be positive, with a finite, normal square, one per
+    /// aggregate dimension (Def. 5).
     pub fn invalid_weights(reason: impl Into<String>) -> Self {
         Self::Common(CommonError::invalid_parameter("weights", reason.into()))
     }
