@@ -63,11 +63,12 @@
 //!   rows and do no `lb` work per candidate: the window scan is compiled
 //!   once with the bracket and once without.
 //!
-//! Every range SSE a fill evaluates comes from the prefix-sum kernel
-//! anchored at the end its ranges share (see [`crate::prefix`]): the
-//! cell in a scan, the break in a forced window, the subproblem's edge
-//! in row 1. Each window picks the kernel's `p = 1` or any-`p`
-//! instantiation once.
+//! Every range SSE a fill evaluates comes from one prefix-sum kernel
+//! (see [`crate::prefix`]). A window anchors it at the end its ranges
+//! share, the cell in a scan or the break in a forced window, and picks
+//! the kernel's `p = 1` or any-`p` instantiation once. Row 1 and the
+//! naive baseline check each range for a break and then call
+//! `range_sse`, the kernel anchored at the range's end.
 //!
 //! # Backtracking modes and their memory model
 //!
@@ -954,33 +955,6 @@ impl DpEngine {
         }
     }
 
-    /// Calls `f(i, SSE)` for every free end `i` in `ends` of the ranges
-    /// anchored at `at` — `at..i` when `up`, `i..at` otherwise — with the
-    /// kernel compiled for this engine's `p`. The ranges must cross no
-    /// break.
-    #[inline]
-    fn sweep(&self, at: usize, ends: RangeInclusive<usize>, up: bool, f: impl FnMut(usize, f64)) {
-        if self.stats.dims() == 1 {
-            self.sweep_p::<true>(at, ends, up, f);
-        } else {
-            self.sweep_p::<false>(at, ends, up, f);
-        }
-    }
-
-    #[inline]
-    fn sweep_p<const ONE: bool>(
-        &self,
-        at: usize,
-        ends: RangeInclusive<usize>,
-        up: bool,
-        mut f: impl FnMut(usize, f64),
-    ) {
-        let sse = self.stats.anchor::<ONE>(&self.weights, at);
-        for i in ends {
-            f(i, if up { sse.to(i) } else { sse.from(i) });
-        }
-    }
-
     /// Whether the tuple range `[lo, hi)` carries the Monge certificate:
     /// values monotone in every dimension, so the window's cost matrix
     /// provably satisfies the quadrangle inequality (see [`monge`]).
@@ -1072,19 +1046,11 @@ impl DpEngine {
         let mut cells = Cells::default();
         if k == 1 {
             // First row: the whole (sub)prefix merges into one tuple —
-            // exact on both brackets, there is nothing to sparsify. A
-            // pruned row ends at the first break above `lo`, so none of
-            // its ranges crosses a break.
-            let put = |out: &mut RowOut<'_>, i: usize, cost: f64| {
+            // exact on both brackets, there is nothing to sparsify.
+            for i in (lo + 1)..=imax {
+                let cost = self.cost(lo, i);
                 out.put(i, cost, cost);
                 out.split(i, lo);
-            };
-            if self.prune {
-                self.sweep(lo, (lo + 1)..=imax, true, |i, cost| put(&mut out, i, cost));
-            } else {
-                for i in (lo + 1)..=imax {
-                    put(&mut out, i, self.cost(lo, i));
-                }
             }
             cells.scan += (imax - lo) as u64;
             return Ok(cells);
@@ -1173,8 +1139,23 @@ impl DpEngine {
         windows
     }
 
-    /// Solves one forward window (or chunk) into `out`.
+    /// Solves one forward window (or chunk) into `out`, with the
+    /// range-SSE kernel compiled for this engine's `p`.
     fn solve_window_fwd(
+        &self,
+        w: &RowWindow,
+        stride: usize,
+        prev: RowIn<'_>,
+        out: &mut RowOut<'_>,
+    ) -> Cells {
+        if self.stats.dims() == 1 {
+            self.window_fwd::<true>(w, stride, prev, out)
+        } else {
+            self.window_fwd::<false>(w, stride, prev, out)
+        }
+    }
+
+    fn window_fwd<const ONE: bool>(
         &self,
         w: &RowWindow,
         stride: usize,
@@ -1186,10 +1167,13 @@ impl DpEngine {
             WindowTask::Forced { g, feasible } => {
                 cells.scan += w.cells() as u64;
                 if feasible {
-                    self.sweep(g, w.ws..=w.we, true, |i, err2| {
+                    // Every range starts at the break g.
+                    let sse = self.stats.anchor::<ONE>(&self.weights, g);
+                    for i in w.ws..=w.we {
+                        let err2 = sse.to(i);
                         out.put(i, prev.get(g) + err2, prev.lower(g) + err2);
                         out.split(i, g);
-                    });
+                    }
                 }
             }
             WindowTask::Open { jbound: jmin, engine } => {
@@ -1201,11 +1185,10 @@ impl DpEngine {
                         return cells;
                     }
                 }
-                cells.scan += match (prev.lb.is_some(), self.stats.dims() == 1) {
-                    (true, true) => self.scan_fwd::<true, true>(w, jmin, stride, prev, out),
-                    (true, false) => self.scan_fwd::<true, false>(w, jmin, stride, prev, out),
-                    (false, true) => self.scan_fwd::<false, true>(w, jmin, stride, prev, out),
-                    (false, false) => self.scan_fwd::<false, false>(w, jmin, stride, prev, out),
+                cells.scan += if prev.lb.is_some() {
+                    self.scan_fwd::<true, ONE>(w, jmin, stride, prev, out)
+                } else {
+                    self.scan_fwd::<false, ONE>(w, jmin, stride, prev, out)
                 };
             }
         }
@@ -1477,13 +1460,9 @@ impl DpEngine {
         out.reset(imin..=(hi - k));
         let mut cells = Cells::default();
         if k == 1 {
-            if self.prune {
-                self.sweep(hi, imin..=(hi - 1), false, |i, cost| out.put(i, cost, cost));
-            } else {
-                for i in imin..=(hi - 1) {
-                    let cost = self.cost(i, hi);
-                    out.put(i, cost, cost);
-                }
+            for i in imin..=(hi - 1) {
+                let cost = self.cost(i, hi);
+                out.put(i, cost, cost);
             }
             cells.scan += (hi - imin) as u64;
             return Ok(cells);
@@ -1572,14 +1551,31 @@ impl DpEngine {
         prev: RowIn<'_>,
         out: &mut RowOut<'_>,
     ) -> Cells {
+        if self.stats.dims() == 1 {
+            self.window_bwd::<true>(w, stride, prev, out)
+        } else {
+            self.window_bwd::<false>(w, stride, prev, out)
+        }
+    }
+
+    fn window_bwd<const ONE: bool>(
+        &self,
+        w: &RowWindow,
+        stride: usize,
+        prev: RowIn<'_>,
+        out: &mut RowOut<'_>,
+    ) -> Cells {
         let mut cells = Cells::default();
         match w.task {
             WindowTask::Forced { g, feasible } => {
                 cells.scan += w.cells() as u64;
                 if feasible {
-                    self.sweep(g, w.ws..=w.we, false, |i, err2| {
+                    // Every range ends at the break g.
+                    let sse = self.stats.anchor::<ONE>(&self.weights, g);
+                    for i in w.ws..=w.we {
+                        let err2 = sse.from(i);
                         out.put(i, err2 + prev.get(g), err2 + prev.lower(g));
-                    });
+                    }
                 }
             }
             WindowTask::Open { jbound: jmax, engine } => {
@@ -1591,11 +1587,10 @@ impl DpEngine {
                         return cells;
                     }
                 }
-                cells.scan += match (prev.lb.is_some(), self.stats.dims() == 1) {
-                    (true, true) => self.scan_bwd::<true, true>(w, jmax, stride, prev, out),
-                    (true, false) => self.scan_bwd::<true, false>(w, jmax, stride, prev, out),
-                    (false, true) => self.scan_bwd::<false, true>(w, jmax, stride, prev, out),
-                    (false, false) => self.scan_bwd::<false, false>(w, jmax, stride, prev, out),
+                cells.scan += if prev.lb.is_some() {
+                    self.scan_bwd::<true, ONE>(w, jmax, stride, prev, out)
+                } else {
+                    self.scan_bwd::<false, ONE>(w, jmax, stride, prev, out)
                 };
             }
         }

@@ -29,9 +29,11 @@
 //! The anchor holds that end's `S`, `SS` and `L` rows and the squared
 //! weights, so each evaluation reads only the other end's row. The exact
 //! DP holds one end fixed for a whole cell, so it builds one anchor per
-//! cell and evaluates every split candidate against it; a range of one
-//! tuple is exactly `0` and the scans skip it without a kernel call. The
-//! kernel is compiled twice: with `p = 1` as a constant, and for any `p`.
+//! cell and evaluates every split candidate against it. For a range of
+//! at most one tuple the kernel returns exactly `0` without evaluating
+//! the formula; the scans compute their first candidate, on the exact
+//! scan that one-tuple range, before their loop. The kernel is compiled
+//! twice: with `p = 1` as a constant, and for any `p`.
 //! [`PrefixStats::range_sse`] is the kernel at the range's end, so a DP
 //! cell, a reduction's SSE and a comparator's error agree to the bit.
 
