@@ -1155,6 +1155,7 @@ impl DpEngine {
         }
     }
 
+    #[inline]
     fn window_fwd<const ONE: bool>(
         &self,
         w: &RowWindow,
@@ -1558,6 +1559,7 @@ impl DpEngine {
         }
     }
 
+    #[inline]
     fn window_bwd<const ONE: bool>(
         &self,
         w: &RowWindow,
