@@ -2052,6 +2052,39 @@ pub(crate) mod tests {
         b.build()
     }
 
+    /// A gap-rich unsorted series: about one tuple in five opens a new
+    /// run, so rows split into many short inter-break windows, forced
+    /// ones included.
+    fn gappy_series(n: usize, seed: u64) -> SequentialRelation {
+        let mut state = seed;
+        let mut b = SequentialBuilder::new(1);
+        let mut t = 0;
+        for _ in 0..n {
+            t += if lcg(&mut state) < 0.2 { 2 } else { 1 };
+            let v = lcg(&mut state);
+            b.push(GroupKey::empty(), TimeInterval::instant(t).unwrap(), &[v]).unwrap();
+        }
+        b.build()
+    }
+
+    /// Rows `1..=kmax` of the whole input's forward (`fwd`) or suffix DP,
+    /// each filled into a fresh `∞` row.
+    fn matrix(e: &DpEngine, kmax: usize, fwd: bool) -> Vec<Vec<f64>> {
+        let mut prev = vec![f64::INFINITY; e.n + 1];
+        let mut rows = Vec::new();
+        for k in 1..=kmax {
+            let mut cur = vec![f64::INFINITY; e.n + 1];
+            if fwd {
+                fill_fwd(e, k, &prev, &mut cur, None);
+            } else {
+                fill_bwd(e, k, &prev, &mut cur);
+            }
+            rows.push(cur.clone());
+            prev = cur;
+        }
+        rows
+    }
+
     /// One exact forward row fill of the whole input over plain slices.
     fn fill_fwd(
         e: &DpEngine,
@@ -2164,21 +2197,50 @@ pub(crate) mod tests {
         }
     }
 
-    /// Pruned and naive rows agree wherever the naive row is finite.
+    /// Pruned rows equal the naive recurrence's rows bit for bit wherever
+    /// either is finite: forward and suffix rows, with the early break on
+    /// and off, under every exact strategy, on the running example,
+    /// gap-free unsorted and monotone series, and a gap-rich series. The
+    /// reference is the naive scan without the early break.
     #[test]
     fn pruning_never_changes_reachable_cells() {
-        let input = fig1c();
-        let a = full_matrix(&input, 7, true);
-        let b = full_matrix(&input, 7, false);
-        for k in 0..7 {
-            for i in 1..=7 {
-                let (x, y) = (a[k][i], b[k][i]);
-                assert!(
-                    (x.is_infinite() && y.is_infinite()) || (x - y).abs() < 1e-6,
-                    "mismatch at E[{}][{}]: {x} vs {y}",
-                    k + 1,
-                    i
-                );
+        let inputs = [fig1c(), wiggly_series(48, 11), trend_series(64, 13), gappy_series(64, 17)];
+        let w = Weights::uniform(1);
+        for input in &inputs {
+            let n = input.len();
+            for fwd in [true, false] {
+                let rows = |prune, early_break, strategy| {
+                    let e = DpEngine::new_full(
+                        input,
+                        &w,
+                        prune,
+                        GapPolicy::Strict,
+                        early_break,
+                        strategy,
+                        1,
+                    )
+                    .unwrap();
+                    matrix(&e, n, fwd)
+                };
+                let naive = rows(false, false, DpStrategy::Scan);
+                let mut runs = vec![(false, true, DpStrategy::Scan)];
+                for strategy in [DpStrategy::Scan, DpStrategy::Monge, DpStrategy::Auto] {
+                    runs.extend([(true, false, strategy), (true, true, strategy)]);
+                }
+                for (prune, early_break, strategy) in runs {
+                    let got = rows(prune, early_break, strategy);
+                    for k in 0..n {
+                        for i in 0..=n {
+                            let (x, y) = (naive[k][i], got[k][i]);
+                            assert!(
+                                (x.is_infinite() && y.is_infinite()) || x.to_bits() == y.to_bits(),
+                                "n = {n}, fwd = {fwd}, row {} cell {i}: naive {x} vs {y} \
+                                 (prune = {prune}, early break = {early_break}, {strategy:?})",
+                                k + 1
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -2531,6 +2593,72 @@ pub(crate) mod tests {
                 std::mem::swap(&mut prev_p, &mut cur_p);
             }
         }
+        // Bracketed Approx rows on the stride grid: values, lower
+        // brackets, split points and counters, both directions.
+        for (n, stride) in [(700, 2), (1400, 4)] {
+            let input = wiggly_series(n, 47);
+            let make = |threads| {
+                DpEngine::new_full(
+                    &input,
+                    &w,
+                    true,
+                    GapPolicy::Strict,
+                    true,
+                    DpStrategy::Approx(0.5),
+                    threads,
+                )
+                .unwrap()
+            };
+            let (seq, par) = (make(1), make(4));
+            for fwd in [true, false] {
+                let (mut rows_s, mut rows_p) = (seq.rows(), par.rows());
+                for k in 1..=12 {
+                    if k > 1 {
+                        let (first, last) = if fwd {
+                            (k, par.gaps.imax_within(k, 0, n))
+                        } else {
+                            (par.gaps.imin_within(k, 0, n), n - k)
+                        };
+                        let windows = if fwd {
+                            par.collect_windows_fwd(k, 0, last)
+                        } else {
+                            par.collect_windows_bwd(k, n, first)
+                        };
+                        let work: u64 = windows.iter().map(|w| w.work(fwd, stride)).sum();
+                        assert!(work >= PAR_MIN_ROW_WORK, "row {k} must fan out");
+                    }
+                    let mut js = vec![0usize; n + 1];
+                    let mut jp = vec![0usize; n + 1];
+                    let (s, p) = if fwd {
+                        (
+                            seq.step_fwd(k, 0, n, stride, &mut rows_s, Some(&mut js)).unwrap(),
+                            par.step_fwd(k, 0, n, stride, &mut rows_p, Some(&mut jp)).unwrap(),
+                        )
+                    } else {
+                        (
+                            seq.step_bwd(k, 0, n, stride, &mut rows_s).unwrap(),
+                            par.step_bwd(k, 0, n, stride, &mut rows_p).unwrap(),
+                        )
+                    };
+                    assert_eq!(s, p, "n = {n}, fwd = {fwd}, row {k}: identical counters");
+                    for i in 0..=n {
+                        let (vs, vp) = (rows_s.value(i), rows_p.value(i));
+                        assert_eq!(
+                            vs.to_bits(),
+                            vp.to_bits(),
+                            "n = {n}, fwd = {fwd}, row {k} cell {i}"
+                        );
+                        let (ls, lp) = (rows_s.lower(i), rows_p.lower(i));
+                        assert_eq!(
+                            ls.to_bits(),
+                            lp.to_bits(),
+                            "n = {n}, fwd = {fwd}, row {k} lb {i}"
+                        );
+                    }
+                    assert_eq!(js, jp, "n = {n}, row {k}: identical split points");
+                }
+            }
+        }
     }
 
     /// The chunker tiles every window region exactly: chunk extents are
@@ -2550,19 +2678,30 @@ pub(crate) mod tests {
                 threads,
             )
             .unwrap();
+            let n = engine.n;
             for k in [2usize, 5, 20] {
-                let imax = engine.gaps.imax_within(k, 0, engine.n);
-                let windows = engine.collect_windows_fwd(k, 0, imax);
-                let work: u64 = windows.iter().map(|w| w.work(true, 1)).sum();
-                let chunks = engine.chunk_windows(&windows, work, true, 1);
-                assert!(chunks.len() >= windows.len());
-                let mut next = k;
-                for c in &chunks {
-                    assert_eq!(c.ws, next, "k = {k}, threads = {threads}");
-                    assert!(c.we >= c.ws);
-                    next = c.we + 1;
+                for fwd in [true, false] {
+                    let (first, last) = if fwd {
+                        (k, engine.gaps.imax_within(k, 0, n))
+                    } else {
+                        (engine.gaps.imin_within(k, 0, n), n - k)
+                    };
+                    let windows = if fwd {
+                        engine.collect_windows_fwd(k, 0, last)
+                    } else {
+                        engine.collect_windows_bwd(k, n, first)
+                    };
+                    let work: u64 = windows.iter().map(|w| w.work(fwd, 1)).sum();
+                    let chunks = engine.chunk_windows(&windows, work, fwd, 1);
+                    assert!(chunks.len() > windows.len(), "k = {k}: the scan window splits");
+                    let mut next = first;
+                    for c in &chunks {
+                        assert_eq!(c.ws, next, "k = {k}, threads = {threads}, fwd = {fwd}");
+                        assert!(c.we >= c.ws);
+                        next = c.we + 1;
+                    }
+                    assert_eq!(next, last + 1, "k = {k}, fwd = {fwd}: chunks must end at the row");
                 }
-                assert_eq!(next, imax + 1, "k = {k}: chunks must end at imax");
             }
         }
     }
