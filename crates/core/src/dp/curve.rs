@@ -8,7 +8,7 @@
 use pta_temporal::SequentialRelation;
 
 use crate::cancel::CancelToken;
-use crate::dp::{approx, Cells, DpEngine, DpExecMode, DpStrategy};
+use crate::dp::{approx, Cells, DpEngine, DpExecMode, DpStrategy, Fwd};
 use crate::error::CoreError;
 use crate::policy::GapPolicy;
 use crate::weights::Weights;
@@ -58,7 +58,7 @@ pub fn optimal_error_curve_with_cancel(
         let mut curve = Vec::with_capacity(kmax);
         let mut lower = Vec::new();
         for k in 1..=kmax {
-            cells += engine.step_fwd(k, 0, n, stride, &mut rows, None).map_err(|e| {
+            cells += engine.step::<Fwd>(k, 0, n, stride, &mut rows, None).map_err(|e| {
                 // Curve entries 1..k − 1 of this probe were completed
                 // before the abort.
                 let peak = rows.count();

@@ -2,7 +2,7 @@
 
 use pta_temporal::SequentialRelation;
 
-use crate::dp::{max_error_over_runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome};
+use crate::dp::{max_error_over_runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, Fwd};
 use crate::error::CoreError;
 use crate::reduction::Reduction;
 use crate::weights::Weights;
@@ -70,7 +70,7 @@ pub fn error_bounded_with_opts(
 /// typed-error path below is reachable only when a non-finite value
 /// poisoned the threshold or the error table.
 // pta-lint: allow(cancel-coverage) — each row fill below goes through
-// DpEngine::fill_row_fwd, which polls the token once per row.
+// DpEngine::fill_row, which polls the token once per row.
 fn run_with_threshold(
     input: &SequentialRelation,
     weights: &Weights,
@@ -103,7 +103,7 @@ fn run_with_threshold(
             } else {
                 None
             };
-            cells += engine.step_fwd(k, 0, n, stride, &mut rows, splits).map_err(|e| {
+            cells += engine.step::<Fwd>(k, 0, n, stride, &mut rows, splits).map_err(|e| {
                 // Rows 1..k − 1 of this probe completed before the abort.
                 let peak = recorded + rows.count();
                 e.with_dp_progress(engine.progress(

@@ -47,11 +47,17 @@
 //! # One row engine
 //!
 //! Every strategy, mode and entry point runs through the same machinery:
-//! one forward row fill and its mirrored backward fill, one window solver
-//! per direction, one parallel chunker and fan-out, one divide-and-conquer
-//! recursion, and one driver per entry point. Beyond the Monge window
-//! engine (exact strategies only), a run's strategy sets two parameters
-//! of every fill:
+//! one row fill, window walk, window solver, scan and Monge window solver,
+//! one parallel chunker and fan-out, one divide-and-conquer recursion, and
+//! one driver per entry point. The row code is written once for both
+//! directions — the prefix rows of Fig. 7 and the mirrored suffix rows
+//! that divide and conquer pairs them with — over a direction type fixed
+//! at compile time (`Dir`), whose methods own every piece of index
+//! arithmetic that differs: the row's cells and fixed end, the window's
+//! bounding break, the candidate order, the stride clamp, the bracket's
+//! snap allowance, the free end of the SSE kernel, and the Monge window's
+//! columns and tie preference. Beyond the Monge window engine (exact
+//! strategies only), a run's strategy sets two parameters of every fill:
 //!
 //! * the **grid stride** `b`: 1 for the exact strategies — every cell
 //!   over every candidate — and, for `Approx(ε > 0)`, each stride of the
@@ -170,7 +176,7 @@ pub mod monge;
 mod runs;
 pub mod size_bounded;
 
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use pta_failpoints::fail_point;
 use pta_pool::Pool;
@@ -180,7 +186,7 @@ use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::gaps::GapVector;
 use crate::policy::GapPolicy;
-use crate::prefix::PrefixStats;
+use crate::prefix::{PrefixStats, SseAnchor};
 use crate::reduction::Reduction;
 use crate::weights::Weights;
 
@@ -267,7 +273,7 @@ pub struct DpOptions {
     /// process-wide default ([`pta_pool::default_threads`], i.e. the
     /// `PTA_THREADS` knob). Every budget produces bit-identical results —
     /// parallelism splits rows into the same per-cell computations the
-    /// sequential scan performs (see `DpEngine::fill_row_fwd`).
+    /// sequential scan performs (see `DpEngine::fill_row`).
     pub threads: usize,
     /// Cooperative cancellation handle, polled at row/window granularity.
     /// The default token is inert (the run can never be interrupted);
@@ -466,6 +472,196 @@ const PAR_CHUNKS_PER_WORKER: u64 = 4;
 /// `Instant::now()` calls (the `bench_dp` overhead gate).
 const CANCEL_CHECK_MIN_WORK: u64 = 1 << 12;
 
+/// The direction of a row fill, fixed at compile time. [`Fwd`] fills the
+/// prefix rows of Fig. 7: cell `i` of row `k` holds the best SSE of the
+/// tuples from the subproblem's start `lo` to `i` in `k` pieces, whose
+/// last piece `j..i` starts at a split `j < i`. [`Bwd`] fills the
+/// mirrored suffix rows that divide-and-conquer backtracking pairs them
+/// with: cell `i` holds the best SSE of the tuples from `i` to the end
+/// `hi`, whose first piece `i..j` ends at a split `j > i`. The row
+/// engine is written once over `D: Dir`; these methods own every piece
+/// of index arithmetic that differs between the two. The subproblem end
+/// a row's pieces run toward (`lo` forward, `hi` backward) is its *fixed
+/// end*; a cell's candidates lie between the cell and it. Scans visit the
+/// candidates moving away from the cell and keep the first strict
+/// minimum, so ties prefer the split nearest the cell: the largest `j`
+/// forward, the smallest backward. The methods a scan calls per
+/// candidate are `#[inline(always)]`, like the kernel they wrap.
+pub(crate) trait Dir {
+    /// `true` for prefix rows.
+    const FWD: bool;
+
+    /// The cells `first..=last` of row `k` over the tuples `lo..hi`, or
+    /// `None` when it has none: `lo + k ..= imax` forward and
+    /// `imin ..= hi − k` backward, with `imax`/`imin` the §5.3 gap bounds
+    /// on pruned runs and the subproblem's ends otherwise.
+    #[inline]
+    fn cells(
+        gaps: &GapVector,
+        prune: bool,
+        k: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Option<(usize, usize)> {
+        if Self::FWD {
+            let imax = if prune { gaps.imax_within(k, lo, hi) } else { hi };
+            (lo + k <= imax).then_some((lo + k, imax))
+        } else {
+            let imin = if prune { gaps.imin_within(k, lo, hi) } else { lo };
+            (imin + k <= hi).then(|| (imin, hi - k))
+        }
+    }
+
+    /// The candidate bound of row `k`: the split farthest from the cells
+    /// that still leaves room for `k − 1` pieces toward the fixed end,
+    /// `lo + k − 1` forward and `hi − (k − 1)` backward. At `k = 1` it is
+    /// the fixed end itself, every cell's only candidate.
+    #[inline]
+    fn bound(k: usize, lo: usize, hi: usize) -> usize {
+        if Self::FWD {
+            lo + k - 1
+        } else {
+            hi - (k - 1)
+        }
+    }
+
+    /// Whichever of two splits lies nearer the cells.
+    #[inline]
+    fn nearer(a: usize, b: usize) -> usize {
+        if Self::FWD {
+            a.max(b)
+        } else {
+            a.min(b)
+        }
+    }
+
+    /// The inter-break window starting at cell `ws`, given the breaks
+    /// strictly inside the subproblem: its last cell (at most `last`), its
+    /// bounding break — the nearest break between the window and the
+    /// fixed end, if any — and the number of breaks there. Forward windows
+    /// are the cells `(g, g']` between consecutive breaks, backward ones
+    /// `[g, g')`.
+    #[inline]
+    fn window(inner: &[usize], ws: usize, last: usize) -> (usize, Option<usize>, usize) {
+        if Self::FWD {
+            let below = inner.partition_point(|&g| g < ws);
+            let we = inner.get(below).map_or(last, |&g| g.min(last));
+            (we, below.checked_sub(1).map(|b| inner[b]), below)
+        } else {
+            let below = inner.partition_point(|&g| g <= ws);
+            let g = inner.get(below).copied();
+            (g.map_or(last, |g| (g - 1).min(last)), g, inner.len() - below)
+        }
+    }
+
+    /// Whether split `j` lies on cell `i`'s candidate side.
+    #[inline]
+    fn toward(i: usize, j: usize) -> bool {
+        if Self::FWD {
+            j < i
+        } else {
+            j > i
+        }
+    }
+
+    /// The piece between cell `i` and split `j`.
+    #[inline]
+    fn range(i: usize, j: usize) -> Range<usize> {
+        if Self::FWD {
+            j..i
+        } else {
+            i..j
+        }
+    }
+
+    /// The candidate columns of an open window `[ws, we]` with candidate
+    /// bound `jbound`: `jmin ..= we − 1` forward, `ws + 1 ..= jmax`
+    /// backward.
+    #[inline]
+    fn cols(ws: usize, we: usize, jbound: usize) -> RangeInclusive<usize> {
+        if Self::FWD {
+            jbound..=we - 1
+        } else {
+            ws + 1..=jbound
+        }
+    }
+
+    /// The split `b` further from the cell than `j`. `CLAMP` (a stride
+    /// grid) steps onto `jbound` instead of past it.
+    #[inline(always)]
+    fn next<const CLAMP: bool>(j: usize, b: usize, jbound: usize) -> usize {
+        let past = if Self::FWD { j < jbound + b } else { j + b > jbound };
+        if CLAMP && past {
+            jbound
+        } else if Self::FWD {
+            j - b
+        } else {
+            j + b
+        }
+    }
+
+    /// Cell `i`'s first candidate on the stride-`b` grid: the nearest
+    /// multiple of `b` on the candidate side, or `jbound` if that lies
+    /// beyond it.
+    #[inline(always)]
+    fn grid_first(i: usize, b: usize, jbound: usize) -> usize {
+        if Self::FWD {
+            ((i - 1) / b * b).max(jbound)
+        } else {
+            ((i / b + 1) * b).min(jbound)
+        }
+    }
+
+    /// The bracket's snap allowance: split `j` moved `b − 1` points toward
+    /// cell `i`, but not past it — `min(j + b − 1, i)` forward,
+    /// `max(j + 1 − b, i)` backward.
+    #[inline(always)]
+    fn snap(j: usize, b: usize, i: usize) -> usize {
+        if Self::FWD {
+            (j + b - 1).min(i)
+        } else {
+            (j + 1).saturating_sub(b).max(i)
+        }
+    }
+
+    /// The SSE of the piece between split `j` and the cell the kernel is
+    /// anchored at: the free end is the piece's start forward and its end
+    /// backward.
+    #[inline(always)]
+    fn cell_sse<const ONE: bool>(sse: &SseAnchor<'_, ONE>, j: usize) -> f64 {
+        if Self::FWD {
+            sse.from(j)
+        } else {
+            sse.to(j)
+        }
+    }
+
+    /// The SSE of the piece between cell `i` and the split the kernel is
+    /// anchored at.
+    #[inline(always)]
+    fn split_sse<const ONE: bool>(sse: &SseAnchor<'_, ONE>, i: usize) -> f64 {
+        if Self::FWD {
+            sse.to(i)
+        } else {
+            sse.from(i)
+        }
+    }
+}
+
+/// Prefix rows (see [`Dir`]).
+pub(crate) enum Fwd {}
+
+/// Suffix rows, the mirror of [`Fwd`].
+pub(crate) enum Bwd {}
+
+impl Dir for Fwd {
+    const FWD: bool = true;
+}
+
+impl Dir for Bwd {
+    const FWD: bool = false;
+}
+
 /// How one inter-break row window is minimized — recorded by the window
 /// walk so windows can be solved out of line, in any order, including on
 /// pool workers. The solve step is identical per cell whether windows run
@@ -513,19 +709,16 @@ impl RowWindow {
 
     /// Upper bound on the window's split-point evaluations at `stride`,
     /// assuming the candidate count per cell grows away from `jbound`
-    /// (forward rows: cell `i` scans at most `i − jmin`; backward rows
-    /// are mirrored). Monge windows are estimated at their SMAWK bound.
+    /// (cell `i` scans at most `|i − jbound|` candidates, in either
+    /// direction). Monge windows are estimated at their SMAWK bound.
     /// The early break can only shrink the real work, so this is a
     /// fan-out and cancel-poll *gate*, not an exact cost.
-    fn work(&self, fwd: bool, stride: usize) -> u64 {
+    fn work(&self, stride: usize) -> u64 {
         match self.task {
             WindowTask::Forced { .. } => self.cells() as u64,
             WindowTask::Open { jbound, engine } => {
-                let (a, b) = if fwd {
-                    ((self.ws - jbound) as u64, (self.we - jbound) as u64)
-                } else {
-                    ((jbound - self.we) as u64, (jbound - self.ws) as u64)
-                };
+                let (x, y) = (self.ws.abs_diff(jbound) as u64, self.we.abs_diff(jbound) as u64);
+                let (a, b) = (x.min(y), x.max(y));
                 match engine {
                     // SMAWK/D&C evaluate O(rows + cols) oracle entries.
                     Some(_) => 4 * (self.cells() as u64 + b),
@@ -646,7 +839,7 @@ impl<'a> RowOut<'a> {
 /// tuple range it serves (`n + 1` entries for the whole input, `n_r + 1`
 /// for one run; cell `i` sits at index `i − lo`) and is `∞`-initialized;
 /// each fill resets only its own window (see
-/// [`DpEngine::fill_row_fwd`]), so sparse rows cost `O(window)`.
+/// [`DpEngine::fill_row`]), so sparse rows cost `O(window)`.
 pub(crate) struct Rows {
     at: usize,
     prev: Vec<f64>,
@@ -944,14 +1137,14 @@ impl DpEngine {
         self.run_stats(rows, cells, peak, mode, ratio)
     }
 
-    /// Cost of merging tuples `j..i` (prefix lengths) into one tuple: the
-    /// range SSE, or `∞` when the range crosses a break.
+    /// Cost of merging the tuples `range` (prefix lengths) into one tuple:
+    /// the range SSE, or `∞` when the range crosses a break.
     #[inline]
-    pub(crate) fn cost(&self, j: usize, i: usize) -> f64 {
-        if self.gaps.range_crosses_break(j, i) {
+    pub(crate) fn cost(&self, range: Range<usize>) -> f64 {
+        if self.gaps.range_crosses_break(range.start, range.end) {
             f64::INFINITY
         } else {
-            self.stats.range_sse(&self.weights, j..i)
+            self.stats.range_sse(&self.weights, range)
         }
     }
 
@@ -991,33 +1184,41 @@ impl DpEngine {
         }
     }
 
-    /// Fills row `k` of the subproblem "partition tuples `lo..hi`": for
-    /// every prefix length `i` in the row's *window* `lo + k ..= imax(k)`,
-    /// `out` cell `i` becomes the smallest SSE of reducing tuples `lo..i`
-    /// to `k` tuples, reading row `k − 1` from `prev`. Rows are full-width
-    /// and absolute-indexed; only the window is reset (to `∞`) and
-    /// written, so a row costs `O(window)` — on gap-rich data the window
-    /// is far smaller than `n`, which is what keeps paper-scale runs
-    /// near-linear. Callers must hand in row buffers whose `[lo..=hi]`
+    /// Fills row `k` of the subproblem "partition tuples `lo..hi`" in
+    /// direction `D` (see [`Dir`]), reading row `k − 1` from `prev`: for
+    /// every cell `i` of the row's *window* — `lo + k ..= imax(k)` forward,
+    /// `imin(k) ..= hi − k` backward — `out` cell `i` becomes the smallest
+    /// SSE of reducing tuples `lo..i` (forward) or `i..hi` (backward) to
+    /// `k` tuples. Rows are absolute-indexed; only the window is reset (to
+    /// `∞`) and written, so a row costs `O(window)` — on gap-rich data the
+    /// window is far smaller than `n`, which is what keeps paper-scale
+    /// runs near-linear. Callers must hand in row buffers whose `[lo..=hi]`
     /// slice was `∞`-initialized before row 1 and alternate `prev`/`out`
     /// between consecutive rows; positions outside every window then stay
-    /// `∞` (windows only move right as `k` grows), which is exactly their
-    /// semantic value. When `out` carries a split-point row, records the
-    /// best split point per cell. Returns the per-strategy split-point
-    /// evaluation counts.
+    /// `∞` (windows only move away from the fixed end as `k` grows), which
+    /// is exactly their semantic value. When `out` carries a split-point
+    /// row (forward rows only), records the best split point per cell.
+    /// Returns the per-strategy split-point evaluation counts.
     ///
     /// Cells decompose into inter-break windows (all cells between two
-    /// consecutive breaks share their `jmin` bound, their forced-split
+    /// consecutive breaks share their candidate bound, their forced-split
     /// status, and a break-free candidate range), so the gap lookups are
     /// hoisted out of the cell loop and each window is minimized either
-    /// by the Fig. 7 scan or by SMAWK per [`DpStrategy`].
+    /// by the Fig. 7 scan or by SMAWK per [`DpStrategy`]. The §5.3
+    /// accelerations hold in both directions: the `imax`/`jmin` gap
+    /// bounds (`imin`/`jmax` backward), the pinned cut when exactly `k −
+    /// 1` internal breaks lie between the cell and the fixed end, and the
+    /// early break (a piece's SSE grows as its split moves away from the
+    /// cell).
     ///
     /// At `stride > 1` (an Approx probe; `prev`/`out` then carry the
     /// lower-bracket rows) open windows solve only their grid cells over
     /// grid candidates (see [`approx`]); stride 1 is the exact fill.
     ///
     /// `lo = 0, hi = n` is the classic whole-input DP row (Fig. 7);
-    /// arbitrary subranges serve the divide-and-conquer recursion.
+    /// arbitrary subranges serve the divide-and-conquer recursion, which
+    /// pairs forward and backward rows to locate optimal midpoints without
+    /// a split-point table.
     ///
     /// The row polls the engine's [`CancelToken`] at entry and again
     /// ahead of every window whose estimated work exceeds
@@ -1025,7 +1226,7 @@ impl DpEngine {
     /// fired token aborts the fill with [`CoreError::Cancelled`] /
     /// [`CoreError::DeadlineExceeded`]. An aborted row leaves `out` in an
     /// unspecified state — callers must not read it on the error path.
-    pub(crate) fn fill_row_fwd(
+    pub(crate) fn fill_row<D: Dir>(
         &self,
         k: usize,
         lo: usize,
@@ -1036,41 +1237,45 @@ impl DpEngine {
     ) -> Result<Cells, CoreError> {
         debug_assert!(k >= 1 && lo <= hi && hi <= self.n);
         debug_assert!(stride == 1 || prev.lb.is_some(), "a stride grid needs its lower bracket");
+        debug_assert!(D::FWD || out.splits.is_none(), "backward rows record no split points");
         fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
         self.cancel.check()?;
-        let imax = if self.prune { self.gaps.imax_within(k, lo, hi) } else { hi };
-        if lo + k > imax {
+        let Some((first, last)) = D::cells(&self.gaps, self.prune, k, lo, hi) else {
             return Ok(Cells::default());
-        }
-        out.reset(lo + k..=imax);
+        };
+        out.reset(first..=last);
         let mut cells = Cells::default();
+        let bound = D::bound(k, lo, hi);
         if k == 1 {
-            // First row: the whole (sub)prefix merges into one tuple —
-            // exact on both brackets, there is nothing to sparsify.
-            for i in (lo + 1)..=imax {
-                let cost = self.cost(lo, i);
+            // First row: each cell's tuples up to the fixed end merge into
+            // one tuple — exact on both brackets, there is nothing to
+            // sparsify.
+            for i in first..=last {
+                let cost = self.cost(D::range(i, bound));
                 out.put(i, cost, cost);
-                out.split(i, lo);
+                out.split(i, bound);
             }
-            cells.scan += (imax - lo) as u64;
+            cells.scan += (last + 1 - first) as u64;
             return Ok(cells);
         }
-        let floor = lo + k - 1;
         if !self.prune {
-            // Fig. 18 naive baseline: every candidate of every cell, with
-            // the per-pair crossing check folded into the cost.
-            for i in (lo + k)..=imax {
+            // Fig. 18 naive baseline: every candidate of every cell, from
+            // the cell out to the bound, with the per-pair crossing check
+            // folded into the cost.
+            for i in first..=last {
                 let mut best = f64::INFINITY;
-                let mut best_j = floor;
-                for j in (floor..i).rev() {
+                let mut best_j = bound;
+                let mut j = i;
+                loop {
+                    j = D::next::<false>(j, 1, bound);
                     cells.scan += 1;
-                    let err2 = self.cost(j, i);
+                    let err2 = self.cost(D::range(i, j));
                     let total = prev.get(j) + err2;
                     if total < best {
                         best = total;
                         best_j = j;
                     }
-                    if self.early_break && err2 > best {
+                    if self.early_break && err2 > best || j == bound {
                         break;
                     }
                 }
@@ -1080,57 +1285,62 @@ impl DpEngine {
             return Ok(cells);
         }
 
-        // Pruned: decompose [lo + k, imax] into inter-break windows (all
-        // cells i in (g, g'] between consecutive breaks share the same
-        // rightmost break below, the same internal-break count, and a
-        // break-free candidate range), then solve each window — on the
-        // pool when the row is worth fanning out, sequentially otherwise.
-        // The per-cell computation is identical either way.
-        let windows = self.collect_windows_fwd(k, lo, imax);
-        let work: u64 = windows.iter().map(|w| w.work(true, stride)).sum();
+        // Pruned: decompose the cells into inter-break windows, then solve
+        // each window — on the pool when the row is worth fanning out,
+        // sequentially otherwise. The per-cell computation is identical
+        // either way.
+        let windows = self.collect_windows::<D>(k, lo, hi, first, last);
+        let work: u64 = windows.iter().map(|w| w.work(stride)).sum();
         if self.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            return self.fill_windows_par(&windows, work, true, stride, prev, out);
+            return self.fill_windows_par::<D>(&windows, work, stride, prev, out);
         }
         for w in &windows {
-            if w.work(true, stride) >= CANCEL_CHECK_MIN_WORK {
+            if w.work(stride) >= CANCEL_CHECK_MIN_WORK {
                 self.cancel.check()?;
             }
-            cells += self.solve_window_fwd(w, stride, prev, &mut out);
+            cells += self.solve_window::<D>(w, stride, prev, &mut out);
         }
         Ok(cells)
     }
 
-    /// Window walk of the forward fill: records each inter-break window of
-    /// `[lo + k, imax]` with its minimization task (see the
-    /// [`DpEngine::fill_row_fwd`] docs for the window invariants).
-    fn collect_windows_fwd(&self, k: usize, lo: usize, imax: usize) -> Vec<RowWindow> {
-        let floor = lo + k - 1;
+    /// Window walk of a row fill: records each inter-break window of the
+    /// cells `first..=last` of row `k` with its minimization task (see the
+    /// [`DpEngine::fill_row`] docs for the window invariants).
+    fn collect_windows<D: Dir>(
+        &self,
+        k: usize,
+        lo: usize,
+        hi: usize,
+        first: usize,
+        last: usize,
+    ) -> Vec<RowWindow> {
+        let bound = D::bound(k, lo, hi);
         let breaks = self.gaps.breaks();
-        let base = breaks.partition_point(|&g| g <= lo);
+        let inner =
+            &breaks[breaks.partition_point(|&g| g <= lo)..breaks.partition_point(|&g| g < hi)];
         let mut windows = Vec::new();
-        let mut ws = lo + k;
-        while ws <= imax {
-            let bidx = breaks.partition_point(|&g| g < ws);
-            let g_below = (bidx > base).then(|| breaks[bidx - 1]);
-            let we = match breaks.get(bidx) {
-                Some(&g) if g < imax => g,
-                _ => imax,
-            };
-            let nb = bidx - base;
-            let task = match g_below.filter(|_| nb == k - 1) {
-                // Forced split: the prefix has exactly k − 1 internal
-                // breaks, so every cut is pinned to the rightmost break
-                // (Fig. 7 lines 13–16). g < floor means the forced prefix
-                // cannot hold k − 1 tuples: the cells are infeasible and
-                // must stay ∞ (prev[g] may hold a stale older row outside
-                // row k − 1's window).
-                Some(g) => WindowTask::Forced { g, feasible: g >= floor },
+        let mut ws = first;
+        while ws <= last {
+            let (we, g, nb) = D::window(inner, ws, last);
+            let task = match g.filter(|_| nb == k - 1) {
+                // Forced split: exactly k − 1 internal breaks lie between
+                // the window and the fixed end, so every cut is pinned to
+                // the nearest one (Fig. 7 lines 13–16). A break beyond the
+                // bound leaves too few tuples for k − 1 pieces: the cells
+                // are infeasible and must stay ∞ (prev[g] may hold a stale
+                // older row outside row k − 1's window).
+                Some(g) => WindowTask::Forced { g, feasible: D::nearer(g, bound) == g },
                 None => {
-                    let jmin = g_below.map_or(floor, |g| g.max(floor));
-                    debug_assert!(jmin < ws, "every window cell has at least one candidate");
-                    let mono = self.monotone_span(jmin, we);
-                    let engine = self.window_engine(mono, we - ws + 1, we - jmin);
-                    WindowTask::Open { jbound: jmin, engine }
+                    let jbound = g.map_or(bound, |g| D::nearer(g, bound));
+                    debug_assert!(
+                        D::toward(ws, jbound) && D::toward(we, jbound),
+                        "every window cell has at least one candidate"
+                    );
+                    // The tuples the window's pieces span.
+                    let (a, b) = (jbound.min(ws), jbound.max(we));
+                    let mono = self.monotone_span(a, b);
+                    let engine = self.window_engine(mono, we - ws + 1, b - a);
+                    WindowTask::Open { jbound, engine }
                 }
             };
             windows.push(RowWindow { ws, we, edges: (ws, we), task });
@@ -1139,9 +1349,9 @@ impl DpEngine {
         windows
     }
 
-    /// Solves one forward window (or chunk) into `out`, with the
-    /// range-SSE kernel compiled for this engine's `p`.
-    fn solve_window_fwd(
+    /// Solves one window (or chunk) into `out`, with the range-SSE kernel
+    /// compiled for this engine's `p`.
+    fn solve_window<D: Dir>(
         &self,
         w: &RowWindow,
         stride: usize,
@@ -1149,14 +1359,14 @@ impl DpEngine {
         out: &mut RowOut<'_>,
     ) -> Cells {
         if self.stats.dims() == 1 {
-            self.window_fwd::<true>(w, stride, prev, out)
+            self.window::<D, true>(w, stride, prev, out)
         } else {
-            self.window_fwd::<false>(w, stride, prev, out)
+            self.window::<D, false>(w, stride, prev, out)
         }
     }
 
     #[inline]
-    fn window_fwd<const ONE: bool>(
+    fn window<D: Dir, const ONE: bool>(
         &self,
         w: &RowWindow,
         stride: usize,
@@ -1168,52 +1378,56 @@ impl DpEngine {
             WindowTask::Forced { g, feasible } => {
                 cells.scan += w.cells() as u64;
                 if feasible {
-                    // Every range starts at the break g.
+                    // Every piece has the break g at one end.
                     let sse = self.stats.anchor::<ONE>(&self.weights, g);
                     for i in w.ws..=w.we {
-                        let err2 = sse.to(i);
+                        let err2 = D::split_sse(&sse, i);
                         out.put(i, prev.get(g) + err2, prev.lower(g) + err2);
                         out.split(i, g);
                     }
                 }
             }
-            WindowTask::Open { jbound: jmin, engine } => {
+            WindowTask::Open { jbound, engine } => {
                 if let Some(engine) = engine {
                     let (evals, solved) =
-                        self.monge_window_fwd(engine, prev, out, w.ws, w.we, jmin);
+                        self.monge_window::<D>(engine, prev, out, w.ws, w.we, jbound);
                     cells.monge += evals;
                     if solved {
                         return cells;
                     }
                 }
                 cells.scan += if prev.lb.is_some() {
-                    self.scan_fwd::<true, ONE>(w, jmin, stride, prev, out)
+                    self.scan::<D, true, ONE>(w, jbound, stride, prev, out)
                 } else {
-                    self.scan_fwd::<false, ONE>(w, jmin, stride, prev, out)
+                    self.scan::<D, false, ONE>(w, jbound, stride, prev, out)
                 };
             }
         }
         cells
     }
 
-    /// The Fig. 7 decreasing-`j` scan over one open forward window (or
-    /// chunk) with candidate floor `jmin`; returns its evaluations.
+    /// The Fig. 7 scan over one open window (or chunk) with candidate
+    /// bound `jbound`: each cell's candidates in order from the cell out
+    /// to the bound (decreasing `j` forward, increasing backward). Returns
+    /// its evaluations.
     ///
     /// `BRACKET` runs an `Approx(ε > 0)` probe: only the window's grid
-    /// cells are solved, each over the grid-aligned candidates below it
-    /// and `jmin` last (at stride 1, every cell over every candidate),
-    /// and the lower bracket rides along — `lb_prev[j] + SSE(j + b −
-    /// 1..i)` per candidate, the ≤ `b − 1` points a true boundary could
-    /// sit past `j` forgiven, which is what makes `lb` sound. Its early
-    /// break fires once the lower segment SSE alone exceeds *both*
-    /// running minima — sound because both segment SSEs grow as the
-    /// split moves left and `SSE(j..i) ≥ SSE(j + b − 1..i)`. Without
-    /// `BRACKET` the loop is the exact scan and does no bracket work.
+    /// cells are solved, each over the grid-aligned candidates past it
+    /// and `jbound` last (at stride 1, every cell over every candidate),
+    /// and the lower bracket rides along — per candidate, `lb_prev[j]`
+    /// plus the SSE of the piece with `j` snapped `b − 1` points toward
+    /// the cell ([`Dir::snap`]): the ≤ `b − 1` points a true boundary
+    /// could sit between `j` and the cell are forgiven, which is what
+    /// makes `lb` sound. Its early break fires once the lower piece SSE
+    /// alone exceeds *both* running minima — sound because both piece
+    /// SSEs grow as the split moves away from the cell and the full piece
+    /// contains the snapped one. Without `BRACKET` the loop is the exact
+    /// scan and does no bracket work.
     #[inline]
-    fn scan_fwd<const BRACKET: bool, const ONE: bool>(
+    fn scan<D: Dir, const BRACKET: bool, const ONE: bool>(
         &self,
         w: &RowWindow,
-        jmin: usize,
+        jbound: usize,
         stride: usize,
         prev: RowIn<'_>,
         out: &mut RowOut<'_>,
@@ -1225,17 +1439,20 @@ impl DpEngine {
             if BRACKET && !w.on_grid(i, b) {
                 continue;
             }
-            // Every candidate's range ends at i: the kernel reads row i
-            // once per cell. j ≥ jmin guarantees no range crosses a break.
+            // Every candidate's piece has i at one end: the kernel reads
+            // row i once per cell. Candidates up to jbound never cross a
+            // break.
             let sse = self.stats.anchor::<ONE>(&self.weights, i);
             let mut best = f64::INFINITY;
             let mut lb_best = f64::INFINITY;
-            let mut best_j = jmin;
-            let mut j = if BRACKET { ((i - 1) / b * b).max(jmin) } else { i - 1 };
+            let mut best_j = jbound;
+            let mut j =
+                if BRACKET { D::grid_first(i, b, jbound) } else { D::next::<false>(i, 1, jbound) };
             // The first candidate is peeled out of the loop: on the exact
-            // scan it is the one-tuple range j = i − 1, whose SSE the
-            // kernel returns as exactly 0 without evaluating the formula.
-            let mut err2 = sse.from(j);
+            // scan it is the one-tuple piece next to the cell, whose SSE
+            // the kernel returns as exactly 0 without evaluating the
+            // formula.
+            let mut err2 = D::cell_sse(&sse, j);
             loop {
                 evals += 1;
                 let total = prev.get(j) + err2;
@@ -1243,15 +1460,15 @@ impl DpEngine {
                     best = total;
                     best_j = j;
                 }
-                // Decreasing j: the range SSE grows monotonically, so
-                // once it alone exceeds the best total the loop can stop
-                // (Fig. 7 line 24).
+                // Away from the cell the piece's SSE grows monotonically,
+                // so once it alone exceeds the best total the loop can
+                // stop (Fig. 7 line 24).
                 let past_best = if BRACKET {
                     let low = if b == 1 {
                         err2
                     } else {
                         evals += 1;
-                        sse.from((j + b - 1).min(i))
+                        D::cell_sse(&sse, D::snap(j, b, i))
                     };
                     let lb_total = lb_prev[j - prev.at] + low;
                     if lb_total < lb_best {
@@ -1261,11 +1478,11 @@ impl DpEngine {
                 } else {
                     err2 > best
                 };
-                if self.early_break && past_best || j == jmin {
+                if self.early_break && past_best || j == jbound {
                     break;
                 }
-                j = if BRACKET && j < jmin + b { jmin } else { j - b };
-                err2 = sse.from(j);
+                j = D::next::<BRACKET>(j, b, jbound);
+                err2 = D::cell_sse(&sse, j);
             }
             if BRACKET {
                 out.put(i, best, lb_best);
@@ -1283,13 +1500,7 @@ impl DpEngine {
     /// scans are exactly the sequential ones — while forced and Monge
     /// windows stay whole (SMAWK is sequential per window). Chunk work is
     /// balanced by the same estimate the fan-out gate uses.
-    fn chunk_windows(
-        &self,
-        windows: &[RowWindow],
-        work: u64,
-        fwd: bool,
-        stride: usize,
-    ) -> Vec<RowWindow> {
+    fn chunk_windows(&self, windows: &[RowWindow], work: u64, stride: usize) -> Vec<RowWindow> {
         let target = (work / (self.pool.threads() as u64 * PAR_CHUNKS_PER_WORKER)).max(1);
         let mut chunks = Vec::new();
         for w in windows {
@@ -1297,15 +1508,14 @@ impl DpEngine {
                 chunks.push(*w);
                 continue;
             };
-            if w.work(fwd, stride) <= target || w.cells() < 2 * PAR_MIN_CHUNK_CELLS {
+            if w.work(stride) <= target || w.cells() < 2 * PAR_MIN_CHUNK_CELLS {
                 chunks.push(*w);
                 continue;
             }
             let mut cs = w.ws;
             let mut acc = 0u64;
             for i in w.ws..=w.we {
-                let span = if fwd { i - jbound } else { jbound - i };
-                acc += grid_work(span as u64, stride);
+                acc += grid_work(i.abs_diff(jbound) as u64, stride);
                 if acc >= target && i < w.we && i + 1 - cs >= PAR_MIN_CHUNK_CELLS {
                     chunks.push(RowWindow { ws: cs, we: i, ..*w });
                     cs = i + 1;
@@ -1329,16 +1539,15 @@ impl DpEngine {
     /// Each chunk polls the cancel token before solving; the first error
     /// in window order wins (remaining chunks still run — the pool has no
     /// early stop — but their output is discarded with the row).
-    fn fill_windows_par(
+    fn fill_windows_par<D: Dir>(
         &self,
         windows: &[RowWindow],
         work: u64,
-        fwd: bool,
         stride: usize,
         prev: RowIn<'_>,
         mut out: RowOut<'_>,
     ) -> Result<Cells, CoreError> {
-        let chunks = self.chunk_windows(windows, work, fwd, stride);
+        let chunks = self.chunk_windows(windows, work, stride);
         // Skip the cells before the row's first window.
         out.take_front(chunks.first().map_or(0, |w| w.ws) - out.at);
         let jobs: Vec<_> = chunks.into_iter().map(|w| (w, out.take_front(w.cells()))).collect();
@@ -1349,11 +1558,7 @@ impl DpEngine {
         );
         let results: Vec<Result<Cells, CoreError>> = self.pool.map(jobs, |(w, mut out)| {
             self.cancel.check()?;
-            Ok(if fwd {
-                self.solve_window_fwd(&w, stride, prev, &mut out)
-            } else {
-                self.solve_window_bwd(&w, stride, prev, &mut out)
-            })
+            Ok(self.solve_window::<D>(&w, stride, prev, &mut out))
         });
         let mut cells = Cells::default();
         for c in results {
@@ -1362,44 +1567,48 @@ impl DpEngine {
         Ok(cells)
     }
 
-    /// Solves one forward inter-break window `[ws, we]` with candidate
-    /// columns `[jmin, we − 1]` by Monge row minimization. All candidates
-    /// are break-free and `prev` is finite on the whole column range (a
-    /// non-forced window has at most `k − 2` internal breaks below it, so
-    /// every candidate prefix was feasible in row `k − 1`); invalid
-    /// `j ≥ i` cells get the exact graded pad. Ties prefer the largest
-    /// `j`, matching the decreasing-`j` scan. Returns the evaluation
-    /// count and whether the window was solved — `false` (nothing
-    /// written, caller must scan) when a pad won a row, which only
-    /// happens if a real cost reached the pad range (astronomical data
-    /// magnitudes or a non-finite `prev`).
-    fn monge_window_fwd(
+    /// Solves one open window `[ws, we]` with candidate bound `jbound` by
+    /// Monge row minimization over the columns [`Dir::cols`]. All
+    /// candidates are break-free and `prev` is finite on the whole column
+    /// range (a non-forced window has at most `k − 2` internal breaks
+    /// between it and the fixed end, so every candidate's remainder was
+    /// feasible in row `k − 1`); cells whose column lies on the wrong side
+    /// of the cell get the exact graded pad. Ties prefer the split nearest
+    /// the cell, matching the scan. Returns the evaluation count and
+    /// whether the window was solved — `false` (nothing written, caller
+    /// must scan) when a pad won a row, which only happens if a real cost
+    /// reached the pad range (astronomical data magnitudes or a
+    /// non-finite `prev`).
+    fn monge_window<D: Dir>(
         &self,
         engine: RowMinEngine,
         prev: RowIn<'_>,
         out: &mut RowOut<'_>,
         ws: usize,
         we: usize,
-        jmin: usize,
+        jbound: usize,
     ) -> (u64, bool) {
         let stats = &self.stats;
         let weights = &self.weights;
-        // Magnitude certificate: every oracle entry is bounded by the
-        // window-spanning segment's SSE plus the largest `prev` on the
-        // column range (`E[k−1][·]` is nondecreasing, so sampling both
-        // ends suffices up to fp noise — hence the 2³⁰ margin). If that
-        // bound approaches the pad range, real costs could outgrow pads
-        // and catastrophic cancellation dwarfs the QI tolerance — scan
-        // instead.
-        let bound = prev.get(jmin).max(prev.get(we - 1)) + stats.range_sse(weights, jmin..we);
+        let cols = D::cols(ws, we, jbound);
+        // Magnitude certificate: every oracle entry is bounded by the SSE
+        // of the piece spanning the window and its candidates plus the
+        // largest `prev` on the column range (`prev` is monotone in the
+        // split, so sampling both ends suffices up to fp noise — hence
+        // the 2³⁰ margin). If that bound approaches the pad range, real
+        // costs could outgrow pads and catastrophic cancellation dwarfs
+        // the QI tolerance — scan instead.
+        let span = jbound.min(ws)..jbound.max(we);
+        let bound =
+            prev.get(*cols.start()).max(prev.get(*cols.end())) + stats.range_sse(weights, span);
         if !monge::pads_dominate(bound) {
             return (0, false);
         }
         let oracle = |i: usize, j: usize| {
-            if j < i {
-                prev.get(j) + stats.range_sse(weights, j..i)
+            if D::toward(i, j) {
+                prev.get(j) + stats.range_sse(weights, D::range(i, j))
             } else {
-                monge::pad(j - i)
+                monge::pad(i.abs_diff(j))
             }
         };
         #[cfg(debug_assertions)]
@@ -1407,15 +1616,16 @@ impl DpEngine {
             // Data-dependent, not a bug: mixed magnitudes can break the
             // computed QI by more than rounding ulps even below the
             // magnitude certificate. Fall back to the scan.
-            if monge::validate_qi(oracle, ws..=we, jmin..=(we - 1), 4, 1e-9).is_some() {
+            if monge::validate_qi(oracle, ws..=we, cols.clone(), 4, 1e-9).is_some() {
                 return (0, false);
             }
         }
-        let minima = monge::window_minima(engine, oracle, ws..=we, jmin..=(we - 1), true);
+        let minima = monge::window_minima(engine, oracle, ws..=we, cols, D::FWD);
         if !minima.values.iter().all(|v| *v < monge::pad_floor()) {
             debug_assert!(
                 false,
-                "pad won a forward cell in [{ws}, {we}] despite the magnitude certificate"
+                "pad won a cell in [{ws}, {we}] (forward: {}) despite the magnitude certificate",
+                D::FWD
             );
             return (minima.evals, false);
         }
@@ -1426,298 +1636,10 @@ impl DpEngine {
         (minima.evals, true)
     }
 
-    /// Mirror image of [`DpEngine::fill_row_fwd`]: fills *suffix*-DP row
-    /// `k`. For every prefix length `i` in `lo ..= hi − k`, `out` cell `i`
-    /// becomes the smallest SSE of reducing tuples `i..hi` to `k` tuples,
-    /// reading row `k − 1` from `prev`. All §5.3 accelerations apply in
-    /// mirrored form: `imin`/`jmax` gap bounds, the pinned cut when the
-    /// suffix holds exactly `k − 1` internal breaks, and the increasing-`j`
-    /// early break (the head-range SSE grows monotonically with `j`).
-    /// Inter-break windows, the [`DpStrategy`] dispatch and the stride
-    /// grid mirror the forward fill too; ties prefer the *smallest* `j`,
-    /// matching the increasing-`j` scan. Backward rows never record split
-    /// points.
-    ///
-    /// The divide-and-conquer backtracking pairs this with the forward
-    /// fill to locate optimal midpoints without a split-point table.
-    pub(crate) fn fill_row_bwd(
-        &self,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        stride: usize,
-        prev: RowIn<'_>,
-        mut out: RowOut<'_>,
-    ) -> Result<Cells, CoreError> {
-        debug_assert!(k >= 1 && lo <= hi && hi <= self.n && hi - lo >= k);
-        debug_assert!(stride == 1 || prev.lb.is_some(), "a stride grid needs its lower bracket");
-        debug_assert!(out.splits.is_none(), "backward rows record no split points");
-        fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
-        self.cancel.check()?;
-        let imin = if self.prune { self.gaps.imin_within(k, lo, hi) } else { lo };
-        if imin > hi - k {
-            return Ok(Cells::default());
-        }
-        out.reset(imin..=(hi - k));
-        let mut cells = Cells::default();
-        if k == 1 {
-            for i in imin..=(hi - 1) {
-                let cost = self.cost(i, hi);
-                out.put(i, cost, cost);
-            }
-            cells.scan += (hi - imin) as u64;
-            return Ok(cells);
-        }
-        let ceil = hi - (k - 1);
-        if !self.prune {
-            for i in imin..=(hi - k) {
-                let mut best = f64::INFINITY;
-                for j in (i + 1)..=ceil {
-                    cells.scan += 1;
-                    let err2 = self.cost(i, j);
-                    let total = err2 + prev.get(j);
-                    if total < best {
-                        best = total;
-                    }
-                    if self.early_break && err2 > best {
-                        break;
-                    }
-                }
-                out.put(i, best, best);
-            }
-            return Ok(cells);
-        }
-
-        // Pruned: decompose into the mirrored inter-break windows — all
-        // cells i in [g, g') share the same leftmost break above,
-        // internal-break count, and break-free candidate range — and
-        // solve them like the forward fill: on the pool when the row is
-        // worth fanning out, sequentially otherwise.
-        let windows = self.collect_windows_bwd(k, hi, imin);
-        let work: u64 = windows.iter().map(|w| w.work(false, stride)).sum();
-        if self.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            return self.fill_windows_par(&windows, work, false, stride, prev, out);
-        }
-        for w in &windows {
-            if w.work(false, stride) >= CANCEL_CHECK_MIN_WORK {
-                self.cancel.check()?;
-            }
-            cells += self.solve_window_bwd(w, stride, prev, &mut out);
-        }
-        Ok(cells)
-    }
-
-    /// Window walk of the backward fill: records each mirrored
-    /// inter-break window of `[imin, hi − k]` with its minimization task.
-    fn collect_windows_bwd(&self, k: usize, hi: usize, imin: usize) -> Vec<RowWindow> {
-        let ceil = hi - (k - 1);
-        let breaks = self.gaps.breaks();
-        let limit = breaks.partition_point(|&g| g < hi);
-        let mut windows = Vec::new();
-        let mut ws = imin;
-        while ws <= hi - k {
-            let bidx = breaks.partition_point(|&g| g <= ws);
-            let g_above = (bidx < limit).then(|| breaks[bidx]);
-            let we = match g_above {
-                Some(g) => (g - 1).min(hi - k),
-                None => hi - k,
-            };
-            let nb = limit - bidx;
-            let task = match g_above.filter(|_| nb == k - 1) {
-                // Forced split, mirrored: exactly k − 1 internal breaks in
-                // the suffix pin the first cut to the leftmost break.
-                // g > ceil: the forced suffix cannot hold k − 1 tuples —
-                // infeasible, keep ∞ (prev[g] may be a stale older row
-                // outside row k − 1's window).
-                Some(g) => WindowTask::Forced { g, feasible: g <= ceil },
-                None => {
-                    let jmax = g_above.map_or(ceil, |g| g.min(ceil));
-                    debug_assert!(jmax > ws, "every window cell has at least one candidate");
-                    let mono = self.monotone_span(ws, jmax);
-                    let engine = self.window_engine(mono, we - ws + 1, jmax - ws);
-                    WindowTask::Open { jbound: jmax, engine }
-                }
-            };
-            windows.push(RowWindow { ws, we, edges: (ws, we), task });
-            ws = we + 1;
-        }
-        windows
-    }
-
-    /// Backward counterpart of [`DpEngine::solve_window_fwd`].
-    fn solve_window_bwd(
-        &self,
-        w: &RowWindow,
-        stride: usize,
-        prev: RowIn<'_>,
-        out: &mut RowOut<'_>,
-    ) -> Cells {
-        if self.stats.dims() == 1 {
-            self.window_bwd::<true>(w, stride, prev, out)
-        } else {
-            self.window_bwd::<false>(w, stride, prev, out)
-        }
-    }
-
-    #[inline]
-    fn window_bwd<const ONE: bool>(
-        &self,
-        w: &RowWindow,
-        stride: usize,
-        prev: RowIn<'_>,
-        out: &mut RowOut<'_>,
-    ) -> Cells {
-        let mut cells = Cells::default();
-        match w.task {
-            WindowTask::Forced { g, feasible } => {
-                cells.scan += w.cells() as u64;
-                if feasible {
-                    // Every range ends at the break g.
-                    let sse = self.stats.anchor::<ONE>(&self.weights, g);
-                    for i in w.ws..=w.we {
-                        let err2 = sse.from(i);
-                        out.put(i, err2 + prev.get(g), err2 + prev.lower(g));
-                    }
-                }
-            }
-            WindowTask::Open { jbound: jmax, engine } => {
-                if let Some(engine) = engine {
-                    let (evals, solved) =
-                        self.monge_window_bwd(engine, prev, out, w.ws, w.we, jmax);
-                    cells.monge += evals;
-                    if solved {
-                        return cells;
-                    }
-                }
-                cells.scan += if prev.lb.is_some() {
-                    self.scan_bwd::<true, ONE>(w, jmax, stride, prev, out)
-                } else {
-                    self.scan_bwd::<false, ONE>(w, jmax, stride, prev, out)
-                };
-            }
-        }
-        cells
-    }
-
-    /// Backward counterpart of [`DpEngine::scan_fwd`]: candidates are
-    /// visited in increasing split order — grid-aligned positions above
-    /// `i`, then `jmax` last — mirroring the exact suffix scan. The lower
-    /// bracket forgives the ≤ `b − 1` points a true boundary could sit
-    /// *before* the snapped candidate: `SSE(i..j − b + 1)` with the left
-    /// end clamped to `i`.
-    #[inline]
-    fn scan_bwd<const BRACKET: bool, const ONE: bool>(
-        &self,
-        w: &RowWindow,
-        jmax: usize,
-        stride: usize,
-        prev: RowIn<'_>,
-        out: &mut RowOut<'_>,
-    ) -> u64 {
-        let b = if BRACKET { stride } else { 1 };
-        let lb_prev = prev.lb.unwrap_or_default();
-        let mut evals = 0u64;
-        for i in w.ws..=w.we {
-            if BRACKET && !w.on_grid(i, b) {
-                continue;
-            }
-            // Every candidate's range starts at i; j ≤ jmax guarantees
-            // no range crosses a break.
-            let sse = self.stats.anchor::<ONE>(&self.weights, i);
-            let mut best = f64::INFINITY;
-            let mut lb_best = f64::INFINITY;
-            let mut j = if BRACKET { ((i / b + 1) * b).min(jmax) } else { i + 1 };
-            // The first candidate, peeled: j = i + 1 on the exact scan,
-            // a one-tuple range with SSE exactly 0.
-            let mut err2 = sse.to(j);
-            loop {
-                evals += 1;
-                let total = err2 + prev.get(j);
-                if total < best {
-                    best = total;
-                }
-                let past_best = if BRACKET {
-                    let low = if b == 1 {
-                        err2
-                    } else {
-                        evals += 1;
-                        sse.to((j + 1).saturating_sub(b).max(i))
-                    };
-                    let lb_total = low + lb_prev[j - prev.at];
-                    if lb_total < lb_best {
-                        lb_best = lb_total;
-                    }
-                    low > best && low > lb_best
-                } else {
-                    err2 > best
-                };
-                if self.early_break && past_best || j == jmax {
-                    break;
-                }
-                j = if BRACKET && j + b > jmax { jmax } else { j + b };
-                err2 = sse.to(j);
-            }
-            if BRACKET {
-                out.put(i, best, lb_best);
-            } else {
-                out.val[i - out.at] = best;
-            }
-        }
-        evals
-    }
-
-    /// Backward counterpart of [`DpEngine::monge_window_fwd`]: cells
-    /// `[ws, we]`, candidate columns `[ws + 1, jmax]`, invalid `j ≤ i`
-    /// cells padded; ties prefer the smallest `j`. Same pad-won-a-row
-    /// fallback contract.
-    fn monge_window_bwd(
-        &self,
-        engine: RowMinEngine,
-        prev: RowIn<'_>,
-        out: &mut RowOut<'_>,
-        ws: usize,
-        we: usize,
-        jmax: usize,
-    ) -> (u64, bool) {
-        let stats = &self.stats;
-        let weights = &self.weights;
-        // Mirrored magnitude certificate (the suffix row `prev` is
-        // nonincreasing in `j`; sample both ends, same 2³⁰ margin).
-        let bound = prev.get(ws + 1).max(prev.get(jmax)) + stats.range_sse(weights, ws..jmax);
-        if !monge::pads_dominate(bound) {
-            return (0, false);
-        }
-        let oracle = |i: usize, j: usize| {
-            if j > i {
-                stats.range_sse(weights, i..j) + prev.get(j)
-            } else {
-                monge::pad(i - j)
-            }
-        };
-        #[cfg(debug_assertions)]
-        {
-            if monge::validate_qi(oracle, ws..=we, (ws + 1)..=jmax, 4, 1e-9).is_some() {
-                return (0, false);
-            }
-        }
-        let minima = monge::window_minima(engine, oracle, ws..=we, (ws + 1)..=jmax, false);
-        if !minima.values.iter().all(|v| *v < monge::pad_floor()) {
-            debug_assert!(
-                false,
-                "pad won a backward cell in [{ws}, {we}] despite the magnitude certificate"
-            );
-            return (minima.evals, false);
-        }
-        for (r, i) in (ws..=we).enumerate() {
-            out.put(i, minima.values[r], minima.values[r]);
-        }
-        (minima.evals, true)
-    }
-
-    /// Fills forward row `k` of `rows` at `stride`, recording split
-    /// points into `splits` when given, and makes it the row to read
-    /// next.
-    pub(crate) fn step_fwd(
+    /// Fills row `k` of `rows` in direction `D` at `stride`, recording
+    /// split points into `splits` when given (forward rows only), and
+    /// makes it the row to read next.
+    pub(crate) fn step<D: Dir>(
         &self,
         k: usize,
         lo: usize,
@@ -1727,23 +1649,7 @@ impl DpEngine {
         splits: Option<&mut [usize]>,
     ) -> Result<Cells, CoreError> {
         let (prev, out) = rows.io(splits);
-        let cells = self.fill_row_fwd(k, lo, hi, stride, prev, out)?;
-        rows.swap();
-        Ok(cells)
-    }
-
-    /// Fills backward row `k` of `rows` at `stride` and makes it the row
-    /// to read next.
-    fn step_bwd(
-        &self,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        stride: usize,
-        rows: &mut Rows,
-    ) -> Result<Cells, CoreError> {
-        let (prev, out) = rows.io(None);
-        let cells = self.fill_row_bwd(k, lo, hi, stride, prev, out)?;
+        let cells = self.fill_row::<D>(k, lo, hi, stride, prev, out)?;
         rows.swap();
         Ok(cells)
     }
@@ -1770,14 +1676,13 @@ impl DpEngine {
     /// Recovers a partition of the tuple range `lo..hi` covered by the
     /// scratch rows (`lo..=hi`, see [`Rows`]) into `c` pieces with
     /// `O(hi − lo)` memory: Hirschberg-style divide-and-conquer
-    /// backtracking over [`DpEngine::fill_row_fwd`] /
-    /// [`DpEngine::fill_row_bwd`] at `stride`, with `fwd` and `bwd` as the
-    /// scratch rows of every node. At stride 1 the partition is optimal;
-    /// on an Approx probe the root node's lower bound certifies it. Work
-    /// accumulates into `cells` and `rows`, so an abort leaves honest
-    /// partial counters behind. Requires `1 ≤ c ≤ hi − lo` and a feasible
-    /// reduction (`c` at least the range's run count), which the callers
-    /// establish.
+    /// backtracking over forward and backward [`DpEngine::fill_row`]s at
+    /// `stride`, with `fwd` and `bwd` as the scratch rows of every node.
+    /// At stride 1 the partition is optimal; on an Approx probe the root
+    /// node's lower bound certifies it. Work accumulates into `cells` and
+    /// `rows`, so an abort leaves honest partial counters behind. Requires
+    /// `1 ≤ c ≤ hi − lo` and a feasible reduction (`c` at least the
+    /// range's run count), which the callers establish.
     pub(crate) fn dnc_boundaries(
         &self,
         stride: usize,
@@ -1813,7 +1718,7 @@ impl DpEngine {
     ) -> Result<(f64, f64), CoreError> {
         debug_assert!(c >= 1 && hi - lo >= c);
         if c == 1 {
-            let cost = self.cost(lo, hi);
+            let cost = self.cost(lo..hi);
             return Ok((cost, cost));
         }
         if hi - lo == c {
@@ -1848,7 +1753,7 @@ impl DpEngine {
     /// that sum and, on bracketed rows, the node's lower bound
     /// `min_i (F_lb[i] + B_lb[i])`.
     // pta-lint: allow(cancel-coverage) — each row fill below polls the
-    // token inside fill_row_fwd/fill_row_bwd.
+    // token inside fill_row.
     fn dnc_node(
         &self,
         d: &mut Dnc<'_>,
@@ -1864,10 +1769,10 @@ impl DpEngine {
         d.fwd.reset(lo..=hi);
         d.bwd.reset(lo..=hi);
         for k in 1..=k_left {
-            *d.cells += self.step_fwd(k, lo, hi, stride, d.fwd, None)?;
+            *d.cells += self.step::<Fwd>(k, lo, hi, stride, d.fwd, None)?;
         }
         for k in 1..=k_right {
-            *d.cells += self.step_bwd(k, lo, hi, stride, d.bwd)?;
+            *d.cells += self.step::<Bwd>(k, lo, hi, stride, d.bwd, None)?;
         }
         *d.rows += k_left + k_right;
         let bracket = d.fwd.lb.is_some();
@@ -1950,15 +1855,6 @@ pub mod bench_support {
             })
         }
 
-        /// Arms the harness with a cancellation token — the `bench_dp`
-        /// cancellation-overhead gate fills rows under a far-future
-        /// deadline token that never fires and compares against the
-        /// inert default.
-        pub fn with_cancel(mut self, cancel: crate::cancel::CancelToken) -> Self {
-            self.engine = self.engine.with_cancel(cancel);
-            self
-        }
-
         /// Row-buffer width (`n + 1`).
         pub fn width(&self) -> usize {
             self.engine.n + 1
@@ -1972,7 +1868,7 @@ pub mod bench_support {
             let mut rows = self.engine.rows();
             for kk in 1..=k {
                 self.engine
-                    .step_fwd(kk, 0, self.engine.n, 1, &mut rows, None)
+                    .step::<Fwd>(kk, 0, self.engine.n, 1, &mut rows, None)
                     // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                     .expect("bench harness tokens never fire");
             }
@@ -1983,7 +1879,7 @@ pub mod bench_support {
         /// split-point evaluation count.
         pub fn fill(&self, k: usize, prev: &[f64], cur: &mut [f64]) -> u64 {
             self.engine
-                .fill_row_fwd(
+                .fill_row::<Fwd>(
                     k,
                     0,
                     self.engine.n,
@@ -2067,38 +1963,29 @@ pub(crate) mod tests {
         b.build()
     }
 
-    /// Rows `1..=kmax` of the whole input's forward (`fwd`) or suffix DP,
-    /// each filled into a fresh `∞` row.
-    fn matrix(e: &DpEngine, kmax: usize, fwd: bool) -> Vec<Vec<f64>> {
+    /// Rows `1..=kmax` of the whole input's DP in direction `D`, each
+    /// filled into a fresh `∞` row.
+    fn matrix<D: Dir>(e: &DpEngine, kmax: usize) -> Vec<Vec<f64>> {
         let mut prev = vec![f64::INFINITY; e.n + 1];
         let mut rows = Vec::new();
         for k in 1..=kmax {
             let mut cur = vec![f64::INFINITY; e.n + 1];
-            if fwd {
-                fill_fwd(e, k, &prev, &mut cur, None);
-            } else {
-                fill_bwd(e, k, &prev, &mut cur);
-            }
+            fill::<D>(e, k, &prev, &mut cur, None);
             rows.push(cur.clone());
             prev = cur;
         }
         rows
     }
 
-    /// One exact forward row fill of the whole input over plain slices.
-    fn fill_fwd(
+    /// One exact row fill of the whole input over plain slices.
+    fn fill<D: Dir>(
         e: &DpEngine,
         k: usize,
         prev: &[f64],
         cur: &mut [f64],
         splits: Option<&mut [usize]>,
     ) -> Cells {
-        e.fill_row_fwd(k, 0, e.n, 1, RowIn::values(prev), RowOut::values(cur, splits)).unwrap()
-    }
-
-    /// One exact suffix row fill of the whole input over plain slices.
-    fn fill_bwd(e: &DpEngine, k: usize, prev: &[f64], cur: &mut [f64]) -> Cells {
-        e.fill_row_bwd(k, 0, e.n, 1, RowIn::values(prev), RowOut::values(cur, None)).unwrap()
+        e.fill_row::<D>(k, 0, e.n, 1, RowIn::values(prev), RowOut::values(cur, splits)).unwrap()
     }
 
     /// The exact divide-and-conquer partition into `c` pieces.
@@ -2113,54 +2000,19 @@ pub(crate) mod tests {
         DpEngine::new_full(input, &w, prune, GapPolicy::Strict, true, strategy, 1).unwrap()
     }
 
-    /// Fills the full error matrix (rows 1..=kmax) for tests.
-    fn full_matrix_strategy(
-        input: &SequentialRelation,
-        kmax: usize,
-        prune: bool,
-        strategy: DpStrategy,
-    ) -> Vec<Vec<f64>> {
-        let engine = engine_with(input, prune, strategy);
-        let n = input.len();
-        let mut prev = vec![f64::INFINITY; n + 1];
-        prev[0] = 0.0;
-        let mut rows = Vec::new();
-        for k in 1..=kmax {
-            let mut cur = vec![f64::INFINITY; n + 1];
-            fill_fwd(&engine, k, &prev, &mut cur, None);
-            rows.push(cur.clone());
-            prev = cur;
-        }
-        rows
-    }
-
-    fn full_matrix(input: &SequentialRelation, kmax: usize, prune: bool) -> Vec<Vec<f64>> {
-        full_matrix_strategy(input, kmax, prune, DpStrategy::Auto)
-    }
-
-    /// Fills the full *suffix* error matrix (rows 1..=kmax) for tests:
+    /// The error matrix (rows 1..=kmax) in direction `D`: backward,
     /// `rows[k − 1][i]` = optimal SSE of tuples `i..n` in `k` pieces.
-    fn full_matrix_bwd_strategy(
+    fn full_matrix_strategy<D: Dir>(
         input: &SequentialRelation,
         kmax: usize,
         prune: bool,
         strategy: DpStrategy,
     ) -> Vec<Vec<f64>> {
-        let engine = engine_with(input, prune, strategy);
-        let n = input.len();
-        let mut prev = vec![f64::INFINITY; n + 1];
-        let mut rows = Vec::new();
-        for k in 1..=kmax {
-            let mut cur = vec![f64::INFINITY; n + 1];
-            fill_bwd(&engine, k, &prev, &mut cur);
-            rows.push(cur.clone());
-            prev = cur;
-        }
-        rows
+        matrix::<D>(&engine_with(input, prune, strategy), kmax)
     }
 
-    fn full_matrix_bwd(input: &SequentialRelation, kmax: usize, prune: bool) -> Vec<Vec<f64>> {
-        full_matrix_bwd_strategy(input, kmax, prune, DpStrategy::Auto)
+    fn full_matrix<D: Dir>(input: &SequentialRelation, kmax: usize, prune: bool) -> Vec<Vec<f64>> {
+        full_matrix_strategy::<D>(input, kmax, prune, DpStrategy::Auto)
     }
 
     /// Fig. 4: the error matrix of the running example (values printed
@@ -2177,7 +2029,7 @@ pub(crate) mod tests {
         ];
         for prune in [false, true] {
             for strategy in [DpStrategy::Scan, DpStrategy::Monge, DpStrategy::Auto] {
-                let m = full_matrix_strategy(&input, 4, prune, strategy);
+                let m = full_matrix_strategy::<Fwd>(&input, 4, prune, strategy);
                 for (k, row) in expected.iter().enumerate() {
                     for (i, &want) in row.iter().enumerate() {
                         let got = m[k][i + 1];
@@ -2204,44 +2056,38 @@ pub(crate) mod tests {
     /// reference is the naive scan without the early break.
     #[test]
     fn pruning_never_changes_reachable_cells() {
-        let inputs = [fig1c(), wiggly_series(48, 11), trend_series(64, 13), gappy_series(64, 17)];
-        let w = Weights::uniform(1);
-        for input in &inputs {
+        fn check<D: Dir>(input: &SequentialRelation) {
             let n = input.len();
-            for fwd in [true, false] {
-                let rows = |prune, early_break, strategy| {
-                    let e = DpEngine::new_full(
-                        input,
-                        &w,
-                        prune,
-                        GapPolicy::Strict,
-                        early_break,
-                        strategy,
-                        1,
-                    )
-                    .unwrap();
-                    matrix(&e, n, fwd)
-                };
-                let naive = rows(false, false, DpStrategy::Scan);
-                let mut runs = vec![(false, true, DpStrategy::Scan)];
-                for strategy in [DpStrategy::Scan, DpStrategy::Monge, DpStrategy::Auto] {
-                    runs.extend([(true, false, strategy), (true, true, strategy)]);
-                }
-                for (prune, early_break, strategy) in runs {
-                    let got = rows(prune, early_break, strategy);
-                    for k in 0..n {
-                        for i in 0..=n {
-                            let (x, y) = (naive[k][i], got[k][i]);
-                            assert!(
-                                (x.is_infinite() && y.is_infinite()) || x.to_bits() == y.to_bits(),
-                                "n = {n}, fwd = {fwd}, row {} cell {i}: naive {x} vs {y} \
-                                 (prune = {prune}, early break = {early_break}, {strategy:?})",
-                                k + 1
-                            );
-                        }
+            let rows = |prune, early_break, strategy| {
+                let w = Weights::uniform(1);
+                let policy = GapPolicy::Strict;
+                let e = DpEngine::new_full(input, &w, prune, policy, early_break, strategy, 1);
+                matrix::<D>(&e.unwrap(), n)
+            };
+            let naive = rows(false, false, DpStrategy::Scan);
+            let mut runs = vec![(false, true, DpStrategy::Scan)];
+            for strategy in [DpStrategy::Scan, DpStrategy::Monge, DpStrategy::Auto] {
+                runs.extend([(true, false, strategy), (true, true, strategy)]);
+            }
+            for (prune, early_break, strategy) in runs {
+                let got = rows(prune, early_break, strategy);
+                for k in 0..n {
+                    for i in 0..=n {
+                        let (x, y) = (naive[k][i], got[k][i]);
+                        assert!(
+                            (x.is_infinite() && y.is_infinite()) || x.to_bits() == y.to_bits(),
+                            "n = {n}, forward: {}, row {} cell {i}: naive {x} vs {y} \
+                             (prune = {prune}, early break = {early_break}, {strategy:?})",
+                            D::FWD,
+                            k + 1
+                        );
                     }
                 }
             }
+        }
+        for input in [fig1c(), wiggly_series(48, 11), trend_series(64, 13), gappy_series(64, 17)] {
+            check::<Fwd>(&input);
+            check::<Bwd>(&input);
         }
     }
 
@@ -2253,11 +2099,11 @@ pub(crate) mod tests {
         let input = trend_series(96, 17);
         let n = input.len();
         let kmax = 24;
-        let scan_f = full_matrix_strategy(&input, kmax, true, DpStrategy::Scan);
-        let monge_f = full_matrix_strategy(&input, kmax, true, DpStrategy::Monge);
-        let auto_f = full_matrix_strategy(&input, kmax, true, DpStrategy::Auto);
-        let scan_b = full_matrix_bwd_strategy(&input, kmax, true, DpStrategy::Scan);
-        let monge_b = full_matrix_bwd_strategy(&input, kmax, true, DpStrategy::Monge);
+        let scan_f = full_matrix_strategy::<Fwd>(&input, kmax, true, DpStrategy::Scan);
+        let monge_f = full_matrix_strategy::<Fwd>(&input, kmax, true, DpStrategy::Monge);
+        let auto_f = full_matrix_strategy::<Fwd>(&input, kmax, true, DpStrategy::Auto);
+        let scan_b = full_matrix_strategy::<Bwd>(&input, kmax, true, DpStrategy::Scan);
+        let monge_b = full_matrix_strategy::<Bwd>(&input, kmax, true, DpStrategy::Monge);
         for k in 0..kmax {
             for i in 0..=n {
                 assert_eq!(
@@ -2292,8 +2138,8 @@ pub(crate) mod tests {
         let mut cur_s = vec![f64::INFINITY; width];
         let mut cur_m = vec![f64::INFINITY; width];
         for k in 1..=12 {
-            let s = fill_fwd(&scan, k, &prev_s, &mut cur_s, None);
-            let m = fill_fwd(&monge, k, &prev_m, &mut cur_m, None);
+            let s = fill::<Fwd>(&scan, k, &prev_s, &mut cur_s, None);
+            let m = fill::<Fwd>(&monge, k, &prev_m, &mut cur_m, None);
             assert_eq!(m.monge, 0, "row {k}: no certificate, no Monge evals");
             assert_eq!(m, s, "row {k}: identical work");
             for i in 0..=n {
@@ -2326,8 +2172,8 @@ pub(crate) mod tests {
         let mut cur_s = vec![f64::INFINITY; width];
         let mut cur_m = vec![f64::INFINITY; width];
         for k in 1..=10 {
-            let s = fill_fwd(&scan, k, &prev_s, &mut cur_s, None);
-            let m = fill_fwd(&monge, k, &prev_m, &mut cur_m, None);
+            let s = fill::<Fwd>(&scan, k, &prev_s, &mut cur_s, None);
+            let m = fill::<Fwd>(&monge, k, &prev_m, &mut cur_m, None);
             assert_eq!(m.monge, 0, "row {k}: magnitude certificate must reject the window");
             assert_eq!(m.scan, s.scan, "row {k}");
             for i in 0..=n {
@@ -2379,8 +2225,8 @@ pub(crate) mod tests {
             for k in 1..=20 {
                 let mut js = vec![0usize; width];
                 let mut jo = vec![0usize; width];
-                fill_fwd(&scan, k, &prev_s, &mut cur_s, Some(&mut js));
-                fill_fwd(&other, k, &prev_o, &mut cur_o, Some(&mut jo));
+                fill::<Fwd>(&scan, k, &prev_s, &mut cur_s, Some(&mut js));
+                fill::<Fwd>(&other, k, &prev_o, &mut cur_o, Some(&mut jo));
                 for i in (k)..=n {
                     if cur_s[i].is_finite() {
                         assert_eq!(js[i], jo[i], "row {k} cell {i} ({strategy:?})");
@@ -2400,8 +2246,8 @@ pub(crate) mod tests {
         let input = fig1c();
         let n = input.len();
         for prune in [false, true] {
-            let fwd = full_matrix(&input, n, prune);
-            let bwd = full_matrix_bwd(&input, n, prune);
+            let fwd = full_matrix::<Fwd>(&input, n, prune);
+            let bwd = full_matrix::<Bwd>(&input, n, prune);
             for k in 1..=n {
                 let (x, y) = (fwd[k - 1][n], bwd[k - 1][0]);
                 assert!(
@@ -2412,7 +2258,7 @@ pub(crate) mod tests {
             // Interior: B[k][i] over fig1c computed on the sliced suffix.
             for i in 0..n {
                 let suffix = input.slice(i..n);
-                let sub = full_matrix(&suffix, n - i, prune);
+                let sub = full_matrix::<Fwd>(&suffix, n - i, prune);
                 for k in 1..=(n - i) {
                     let (x, y) = (sub[k - 1][n - i], bwd[k - 1][i]);
                     assert!(
@@ -2443,7 +2289,7 @@ pub(crate) mod tests {
                     let mut cur = vec![f64::INFINITY; width];
                     for k in 1..=c {
                         let splits = &mut jm[(k - 1) * width..k * width];
-                        fill_fwd(&engine, k, &prev, &mut cur, Some(splits));
+                        fill::<Fwd>(&engine, k, &prev, &mut cur, Some(splits));
                         std::mem::swap(&mut prev, &mut cur);
                         cur.fill(f64::INFINITY);
                     }
@@ -2517,11 +2363,11 @@ pub(crate) mod tests {
         let mut prev = vec![f64::INFINITY; width];
         let mut cur = vec![f64::INFINITY; width];
         // Row 2 read from the genuine row 1.
-        fill_fwd(&scan, 1, &prev, &mut cur, None);
+        fill::<Fwd>(&scan, 1, &prev, &mut cur, None);
         std::mem::swap(&mut prev, &mut cur);
-        let s = fill_fwd(&scan, 2, &prev, &mut cur, None);
+        let s = fill::<Fwd>(&scan, 2, &prev, &mut cur, None);
         let mut cur2 = vec![f64::INFINITY; width];
-        let m = fill_fwd(&monge, 2, &prev, &mut cur2, None);
+        let m = fill::<Fwd>(&monge, 2, &prev, &mut cur2, None);
         assert_eq!(s.monge, 0);
         assert_eq!(m.scan, 0);
         assert!(
@@ -2533,138 +2379,98 @@ pub(crate) mod tests {
         assert_eq!(cur[..], cur2[..], "identical row values");
     }
 
-    /// A multi-thread budget fans row fills out across chunked windows;
-    /// row values, split points, and evaluation counters stay
-    /// bit-identical to the one-thread fill — forward and backward, on
-    /// scan-only (wiggly) and Monge-certified (trend) data. The inputs
-    /// are large enough that every row clears the fan-out work gate.
-    #[test]
-    fn parallel_rows_are_bit_identical_to_sequential() {
-        let w = Weights::uniform(1);
-        for input in [wiggly_series(700, 41), trend_series(700, 43)] {
-            let n = input.len();
-            let make = |threads| {
-                DpEngine::new_full(
-                    &input,
-                    &w,
-                    true,
-                    GapPolicy::Strict,
-                    true,
-                    DpStrategy::Auto,
-                    threads,
-                )
-                .unwrap()
-            };
-            let seq = make(1);
-            let par = make(4);
-            assert_eq!(par.pool.threads(), 4);
-            let width = n + 1;
-            let mut prev_s = vec![f64::INFINITY; width];
-            let mut prev_p = vec![f64::INFINITY; width];
-            let mut cur_s = vec![f64::INFINITY; width];
-            let mut cur_p = vec![f64::INFINITY; width];
-            prev_s[0] = 0.0;
-            prev_p[0] = 0.0;
-            for k in 1..=12 {
-                let mut js = vec![0usize; width];
-                let mut jp = vec![0usize; width];
-                let s = fill_fwd(&seq, k, &prev_s, &mut cur_s, Some(&mut js));
-                let p = fill_fwd(&par, k, &prev_p, &mut cur_p, Some(&mut jp));
-                assert_eq!(s, p, "row {k}: identical counters");
-                for i in 0..=n {
-                    assert_eq!(cur_s[i].to_bits(), cur_p[i].to_bits(), "row {k} cell {i}");
-                }
-                assert_eq!(js, jp, "row {k}: identical split points");
-                std::mem::swap(&mut prev_s, &mut cur_s);
-                std::mem::swap(&mut prev_p, &mut cur_p);
-            }
-            let mut prev_s = vec![f64::INFINITY; width];
-            let mut prev_p = vec![f64::INFINITY; width];
-            let mut cur_s = vec![f64::INFINITY; width];
-            let mut cur_p = vec![f64::INFINITY; width];
-            for k in 1..=12 {
-                let s = fill_bwd(&seq, k, &prev_s, &mut cur_s);
-                let p = fill_bwd(&par, k, &prev_p, &mut cur_p);
-                assert_eq!(s, p, "bwd row {k}: identical counters");
-                for i in 0..=n {
-                    assert_eq!(cur_s[i].to_bits(), cur_p[i].to_bits(), "bwd row {k} cell {i}");
-                }
-                std::mem::swap(&mut prev_s, &mut cur_s);
-                std::mem::swap(&mut prev_p, &mut cur_p);
-            }
+    /// Two unsorted runs around a monotone one, with a break between each
+    /// pair: every row holds a wide scan window, and from row 3 on a
+    /// Monge-certified window beside it.
+    fn wiggly_trend_wiggly(seed: u64) -> SequentialRelation {
+        let mut state = seed;
+        let mut b = SequentialBuilder::new(1);
+        let mut v = 0.0;
+        for t in 0..1000 {
+            // Tuples 400..600 ascend; chronons 400 and 601 are holes.
+            let trend = (400..600).contains(&t);
+            v = if trend { v + lcg(&mut state) } else { lcg(&mut state) };
+            let at = t + i64::from(t >= 400) + i64::from(t >= 600);
+            b.push(GroupKey::empty(), TimeInterval::instant(at).unwrap(), &[v]).unwrap();
         }
-        // Bracketed Approx rows on the stride grid: values, lower
-        // brackets, split points and counters, both directions.
-        for (n, stride) in [(700, 2), (1400, 4)] {
-            let input = wiggly_series(n, 47);
-            let make = |threads| {
-                DpEngine::new_full(
-                    &input,
-                    &w,
-                    true,
-                    GapPolicy::Strict,
-                    true,
-                    DpStrategy::Approx(0.5),
-                    threads,
-                )
-                .unwrap()
-            };
-            let (seq, par) = (make(1), make(4));
-            for fwd in [true, false] {
-                let (mut rows_s, mut rows_p) = (seq.rows(), par.rows());
-                for k in 1..=12 {
-                    if k > 1 {
-                        let (first, last) = if fwd {
-                            (k, par.gaps.imax_within(k, 0, n))
-                        } else {
-                            (par.gaps.imin_within(k, 0, n), n - k)
-                        };
-                        let windows = if fwd {
-                            par.collect_windows_fwd(k, 0, last)
-                        } else {
-                            par.collect_windows_bwd(k, n, first)
-                        };
-                        let work: u64 = windows.iter().map(|w| w.work(fwd, stride)).sum();
-                        assert!(work >= PAR_MIN_ROW_WORK, "row {k} must fan out");
-                    }
-                    let mut js = vec![0usize; n + 1];
-                    let mut jp = vec![0usize; n + 1];
-                    let (s, p) = if fwd {
-                        (
-                            seq.step_fwd(k, 0, n, stride, &mut rows_s, Some(&mut js)).unwrap(),
-                            par.step_fwd(k, 0, n, stride, &mut rows_p, Some(&mut jp)).unwrap(),
-                        )
-                    } else {
-                        (
-                            seq.step_bwd(k, 0, n, stride, &mut rows_s).unwrap(),
-                            par.step_bwd(k, 0, n, stride, &mut rows_p).unwrap(),
-                        )
-                    };
-                    assert_eq!(s, p, "n = {n}, fwd = {fwd}, row {k}: identical counters");
-                    for i in 0..=n {
-                        let (vs, vp) = (rows_s.value(i), rows_p.value(i));
-                        assert_eq!(
-                            vs.to_bits(),
-                            vp.to_bits(),
-                            "n = {n}, fwd = {fwd}, row {k} cell {i}"
-                        );
-                        let (ls, lp) = (rows_s.lower(i), rows_p.lower(i));
-                        assert_eq!(
-                            ls.to_bits(),
-                            lp.to_bits(),
-                            "n = {n}, fwd = {fwd}, row {k} lb {i}"
-                        );
-                    }
-                    assert_eq!(js, jp, "n = {n}, row {k}: identical split points");
-                }
+        b.build()
+    }
+
+    /// Fills rows `1..=12` in direction `D` at `stride` with both engines
+    /// and asserts that every row from 2 on clears the fan-out gate, and
+    /// that values, lower brackets, split points and counters agree bit
+    /// for bit.
+    fn assert_par_rows<D: Dir>(seq: &DpEngine, par: &DpEngine, stride: usize) {
+        let n = seq.n;
+        let (mut rows_s, mut rows_p) = (seq.rows(), par.rows());
+        for k in 1..=12 {
+            let at = format!("n = {n}, stride {stride}, forward: {}, row {k}", D::FWD);
+            if k > 1 {
+                let (first, last) = D::cells(&par.gaps, true, k, 0, n).unwrap();
+                let windows = par.collect_windows::<D>(k, 0, n, first, last);
+                let work: u64 = windows.iter().map(|w| w.work(stride)).sum();
+                assert!(work >= PAR_MIN_ROW_WORK, "{at} must fan out");
             }
+            let (mut js, mut jp) = (vec![0usize; n + 1], vec![0usize; n + 1]);
+            let s = seq.step::<D>(k, 0, n, stride, &mut rows_s, D::FWD.then_some(&mut js[..]));
+            let p = par.step::<D>(k, 0, n, stride, &mut rows_p, D::FWD.then_some(&mut jp[..]));
+            assert_eq!(s.unwrap(), p.unwrap(), "{at}: identical counters");
+            for i in 0..=n {
+                assert_eq!(rows_s.value(i).to_bits(), rows_p.value(i).to_bits(), "{at} cell {i}");
+                assert_eq!(rows_s.lower(i).to_bits(), rows_p.lower(i).to_bits(), "{at} lb {i}");
+            }
+            assert_eq!(js, jp, "{at}: identical split points");
         }
     }
 
-    /// The chunker tiles every window region exactly: chunk extents are
-    /// contiguous, in order, and cover the same cells under any budget.
+    /// A multi-thread budget fans row fills out across chunked windows;
+    /// row values, lower brackets, split points, and evaluation counters
+    /// stay bit-identical to the one-thread fill — forward and backward,
+    /// on exact rows over scan-only (wiggly) data and over data whose rows
+    /// also hold Monge-certified windows, and on bracketed `Approx` rows at
+    /// strides 2 and 4. Every row from 2 on clears the fan-out work gate.
+    #[test]
+    fn parallel_rows_are_bit_identical_to_sequential() {
+        let w = Weights::uniform(1);
+        let cases = [
+            (wiggly_series(700, 41), DpStrategy::Auto, 1),
+            (wiggly_trend_wiggly(43), DpStrategy::Auto, 1),
+            (wiggly_series(700, 47), DpStrategy::Approx(0.5), 2),
+            (wiggly_series(1400, 53), DpStrategy::Approx(0.5), 4),
+        ];
+        for (input, strategy, stride) in &cases {
+            let make = |threads| {
+                let policy = GapPolicy::Strict;
+                DpEngine::new_full(input, &w, true, policy, true, *strategy, threads).unwrap()
+            };
+            let (seq, par) = (make(1), make(4));
+            assert_eq!(par.pool.threads(), 4);
+            assert_par_rows::<Fwd>(&seq, &par, *stride);
+            assert_par_rows::<Bwd>(&seq, &par, *stride);
+        }
+    }
+
+    /// The chunker tiles every window region exactly, forward and
+    /// backward: chunk extents are contiguous, in order, and cover the
+    /// same cells under any budget.
     #[test]
     fn chunker_tiles_rows_exactly() {
+        fn check<D: Dir>(engine: &DpEngine, k: usize) {
+            let n = engine.n;
+            let (first, last) = D::cells(&engine.gaps, true, k, 0, n).unwrap();
+            let windows = engine.collect_windows::<D>(k, 0, n, first, last);
+            let work: u64 = windows.iter().map(|w| w.work(1)).sum();
+            let chunks = engine.chunk_windows(&windows, work, 1);
+            let at = format!("k = {k}, threads = {}, forward: {}", engine.pool.threads(), D::FWD);
+            assert!(chunks.len() > windows.len(), "{at}: the scan window splits");
+            let mut next = first;
+            for c in &chunks {
+                assert_eq!(c.ws, next, "{at}");
+                assert!(c.we >= c.ws);
+                next = c.we + 1;
+            }
+            assert_eq!(next, last + 1, "{at}: chunks must end at the row's last cell");
+        }
         let input = wiggly_series(300, 7);
         let w = Weights::uniform(1);
         for threads in [2, 3, 8] {
@@ -2678,30 +2484,9 @@ pub(crate) mod tests {
                 threads,
             )
             .unwrap();
-            let n = engine.n;
             for k in [2usize, 5, 20] {
-                for fwd in [true, false] {
-                    let (first, last) = if fwd {
-                        (k, engine.gaps.imax_within(k, 0, n))
-                    } else {
-                        (engine.gaps.imin_within(k, 0, n), n - k)
-                    };
-                    let windows = if fwd {
-                        engine.collect_windows_fwd(k, 0, last)
-                    } else {
-                        engine.collect_windows_bwd(k, n, first)
-                    };
-                    let work: u64 = windows.iter().map(|w| w.work(fwd, 1)).sum();
-                    let chunks = engine.chunk_windows(&windows, work, fwd, 1);
-                    assert!(chunks.len() > windows.len(), "k = {k}: the scan window splits");
-                    let mut next = first;
-                    for c in &chunks {
-                        assert_eq!(c.ws, next, "k = {k}, threads = {threads}, fwd = {fwd}");
-                        assert!(c.we >= c.ws);
-                        next = c.we + 1;
-                    }
-                    assert_eq!(next, last + 1, "k = {k}, fwd = {fwd}: chunks must end at the row");
-                }
+                check::<Fwd>(&engine, k);
+                check::<Bwd>(&engine, k);
             }
         }
     }
@@ -2716,7 +2501,7 @@ pub(crate) mod tests {
         let mut cur = vec![f64::INFINITY; rf.width()];
         let cells = rf.fill(4, &prev, &mut cur);
         assert!(cells > 0);
-        let m = full_matrix(&input, 4, true);
+        let m = full_matrix::<Fwd>(&input, 4, true);
         for i in 0..=input.len() {
             assert_eq!(cur[i].to_bits(), m[3][i].to_bits(), "cell {i}");
         }

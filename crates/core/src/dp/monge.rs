@@ -299,7 +299,7 @@ impl<F: FnMut(usize, usize) -> f64> Ctx<'_, F> {
 /// scanning between their odd neighbours' argmins. `O(rows + cols)`
 /// oracle evaluations in total.
 // pta-lint: allow(cancel-coverage) — row-minimizer internals; the caller
-// (fill_row_fwd/bwd) polls the token once per filled row.
+// (fill_row) polls the token once per filled row.
 fn smawk<F: FnMut(usize, usize) -> f64>(ctx: &mut Ctx<'_, F>, rows: &[usize], cols: &[usize]) {
     if rows.is_empty() {
         return;
@@ -376,7 +376,7 @@ fn smawk<F: FnMut(usize, usize) -> f64>(ctx: &mut Ctx<'_, F>, rows: &[usize], co
 /// narrowed by the argmin — the simpler `O((rows + cols) log rows)`
 /// fallback engine.
 // pta-lint: allow(cancel-coverage) — row-minimizer internals; the caller
-// (fill_row_fwd/bwd) polls the token once per filled row.
+// (fill_row) polls the token once per filled row.
 fn divide_conquer<F: FnMut(usize, usize) -> f64>(
     ctx: &mut Ctx<'_, F>,
     rows: &[usize],

@@ -21,7 +21,7 @@
 //! the whole slack and the single-range solver partitions it.
 
 use super::size_bounded::RangeSolver;
-use super::{Cells, DpEngine, DpExecMode, DpStats, Partition, PAR_MIN_ROW_WORK};
+use super::{Cells, DpEngine, DpExecMode, DpStats, Fwd, Partition, PAR_MIN_ROW_WORK};
 use crate::error::CoreError;
 
 /// A free run: the tuples `lo..hi` and its curve depth `d_r`.
@@ -77,7 +77,7 @@ fn runs(engine: &DpEngine) -> impl Iterator<Item = (usize, usize)> + '_ {
 /// per-run solve uses. Its tables fit the whole-input table's budget:
 /// `Σ_r d_r · (n_r + 1) ≤ (s + 1) · (n + cmin) ≤ c · (n + 1)`.
 // pta-lint: allow(cancel-coverage) — the loop stitches run boundaries; the
-// row fills poll inside fill_row_fwd and the merge polls per run.
+// row fills poll inside fill_row and the merge polls per run.
 pub(crate) fn size_bounded_by_runs(
     engine: &DpEngine,
     c: usize,
@@ -251,7 +251,7 @@ fn fan_out<T: Send, R: Send>(
 /// run's split points into `splits` (`d_r` rows of `n_r + 1` entries)
 /// unless it is empty.
 // pta-lint: allow(cancel-coverage) — each row fill polls the token inside
-// fill_row_fwd.
+// fill_row.
 fn run_curve(
     engine: &DpEngine,
     run: FreeRun,
@@ -263,7 +263,7 @@ fn run_curve(
     let mut curve = Vec::with_capacity(run.depth);
     for k in 1..=run.depth {
         let row = (!splits.is_empty()).then(|| &mut splits[(k - 1) * width..k * width]);
-        work.cells += engine.step_fwd(k, run.lo, run.hi, 1, &mut rows, row)?;
+        work.cells += engine.step::<Fwd>(k, run.lo, run.hi, 1, &mut rows, row)?;
         work.rows += 1;
         curve.push(rows.value(run.hi));
     }

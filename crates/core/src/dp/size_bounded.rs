@@ -3,7 +3,7 @@
 use pta_temporal::SequentialRelation;
 
 use crate::dp::{
-    runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, DpStrategy, Partition, Rows,
+    runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, DpStrategy, Fwd, Partition, Rows,
 };
 use crate::error::CoreError;
 use crate::reduction::Reduction;
@@ -212,7 +212,7 @@ impl<'e> RangeSolver<'e> {
     /// stride 1). Work accumulates into `cells` and `rows` as each row
     /// completes, so an abort leaves honest partial counters behind.
     // pta-lint: allow(cancel-coverage) — each row fill below polls the
-    // token inside fill_row_fwd/fill_row_bwd.
+    // token inside fill_row.
     pub(crate) fn solve(
         &mut self,
         stride: usize,
@@ -226,7 +226,7 @@ impl<'e> RangeSolver<'e> {
                 let width = hi - lo + 1;
                 for k in 1..=self.c {
                     let splits = &mut jm[(k - 1) * width..k * width];
-                    *cells += engine.step_fwd(k, lo, hi, stride, &mut self.fwd, Some(splits))?;
+                    *cells += engine.step::<Fwd>(k, lo, hi, stride, &mut self.fwd, Some(splits))?;
                     *rows += 1;
                 }
                 Ok(Partition {

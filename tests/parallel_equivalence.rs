@@ -46,8 +46,11 @@ fn inputs() -> Vec<(&'static str, SequentialRelation)> {
         ("gap_rich", random_sequential_continuous(700, 220, 2, 0.06, 0.2)),
         // Trendy gap-free: Monge-certified windows.
         ("trendy", random_sequential_trendy(701, 260, 1, 0.0, 0.0, 0.02)),
-        // Wiggly gap-free: one wide scan window per row — the case the
-        // chunked fan-out actually splits.
+        // Wiggly gap-free: one wide scan window per row. At n = 260 a
+        // row's estimated work (about 34k split points) stays below the
+        // fan-out gate (`PAR_MIN_ROW_WORK`, 65,536), so no row here fans
+        // out; the row fan-out itself is pinned by the `dp` unit test
+        // `parallel_rows_are_bit_identical_to_sequential`.
         ("flat", random_sequential_continuous(702, 260, 1, 0.0, 0.0)),
     ]
 }
