@@ -485,7 +485,7 @@ const CANCEL_CHECK_MIN_WORK: u64 = 1 << 12;
 /// end*; a cell's candidates lie between the cell and it. Scans visit the
 /// candidates moving away from the cell and keep the first strict
 /// minimum, so ties prefer the split nearest the cell: the largest `j`
-/// forward, the smallest backward. The methods a scan calls per
+/// forward, the smallest backward. The methods called per cell or per
 /// candidate are `#[inline(always)]`, like the kernel they wrap.
 pub(crate) trait Dir {
     /// `true` for prefix rows.
@@ -1316,6 +1316,8 @@ impl DpEngine {
     ) -> Vec<RowWindow> {
         let bound = D::bound(k, lo, hi);
         let breaks = self.gaps.breaks();
+        // The breaks strictly inside (lo, hi): the only ones a window of
+        // this subproblem can be bounded or forced by.
         let inner =
             &breaks[breaks.partition_point(|&g| g <= lo)..breaks.partition_point(|&g| g < hi)];
         let mut windows = Vec::new();
@@ -2399,10 +2401,11 @@ pub(crate) mod tests {
     /// Fills rows `1..=12` in direction `D` at `stride` with both engines
     /// and asserts that every row from 2 on clears the fan-out gate, and
     /// that values, lower brackets, split points and counters agree bit
-    /// for bit.
-    fn assert_par_rows<D: Dir>(seq: &DpEngine, par: &DpEngine, stride: usize) {
+    /// for bit. Returns the rows' summed counters.
+    fn assert_par_rows<D: Dir>(seq: &DpEngine, par: &DpEngine, stride: usize) -> Cells {
         let n = seq.n;
         let (mut rows_s, mut rows_p) = (seq.rows(), par.rows());
+        let mut cells = Cells::default();
         for k in 1..=12 {
             let at = format!("n = {n}, stride {stride}, forward: {}, row {k}", D::FWD);
             if k > 1 {
@@ -2414,13 +2417,16 @@ pub(crate) mod tests {
             let (mut js, mut jp) = (vec![0usize; n + 1], vec![0usize; n + 1]);
             let s = seq.step::<D>(k, 0, n, stride, &mut rows_s, D::FWD.then_some(&mut js[..]));
             let p = par.step::<D>(k, 0, n, stride, &mut rows_p, D::FWD.then_some(&mut jp[..]));
-            assert_eq!(s.unwrap(), p.unwrap(), "{at}: identical counters");
+            let s = s.unwrap();
+            assert_eq!(s, p.unwrap(), "{at}: identical counters");
+            cells += s;
             for i in 0..=n {
                 assert_eq!(rows_s.value(i).to_bits(), rows_p.value(i).to_bits(), "{at} cell {i}");
                 assert_eq!(rows_s.lower(i).to_bits(), rows_p.lower(i).to_bits(), "{at} lb {i}");
             }
             assert_eq!(js, jp, "{at}: identical split points");
         }
+        cells
     }
 
     /// A multi-thread budget fans row fills out across chunked windows;
@@ -2428,25 +2434,27 @@ pub(crate) mod tests {
     /// stay bit-identical to the one-thread fill — forward and backward,
     /// on exact rows over scan-only (wiggly) data and over data whose rows
     /// also hold Monge-certified windows, and on bracketed `Approx` rows at
-    /// strides 2 and 4. Every row from 2 on clears the fan-out work gate.
+    /// strides 2 and 4. Every row from 2 on clears the fan-out work gate,
+    /// and Monge windows run exactly where the input certifies them.
     #[test]
     fn parallel_rows_are_bit_identical_to_sequential() {
         let w = Weights::uniform(1);
         let cases = [
-            (wiggly_series(700, 41), DpStrategy::Auto, 1),
-            (wiggly_trend_wiggly(43), DpStrategy::Auto, 1),
-            (wiggly_series(700, 47), DpStrategy::Approx(0.5), 2),
-            (wiggly_series(1400, 53), DpStrategy::Approx(0.5), 4),
+            (wiggly_series(700, 41), DpStrategy::Auto, 1, false),
+            (wiggly_trend_wiggly(43), DpStrategy::Auto, 1, true),
+            (wiggly_series(700, 47), DpStrategy::Approx(0.5), 2, false),
+            (wiggly_series(1400, 53), DpStrategy::Approx(0.5), 4, false),
         ];
-        for (input, strategy, stride) in &cases {
+        for (input, strategy, stride, monge) in &cases {
             let make = |threads| {
                 let policy = GapPolicy::Strict;
                 DpEngine::new_full(input, &w, true, policy, true, *strategy, threads).unwrap()
             };
             let (seq, par) = (make(1), make(4));
             assert_eq!(par.pool.threads(), 4);
-            assert_par_rows::<Fwd>(&seq, &par, *stride);
-            assert_par_rows::<Bwd>(&seq, &par, *stride);
+            let fwd = assert_par_rows::<Fwd>(&seq, &par, *stride);
+            let bwd = assert_par_rows::<Bwd>(&seq, &par, *stride);
+            assert_eq!((fwd.monge > 0, bwd.monge > 0), (*monge, *monge), "{strategy:?}");
         }
     }
 

@@ -9,7 +9,10 @@
 //! candidate sequence per cell, and Monge windows are solved whole on
 //! one worker); this suite pins the implementation to it through the
 //! public entry points, at thread budgets well above the row count's
-//! chunking sweet spot and on a 1-core container alike.
+//! chunking sweet spot and on a 1-core container alike. Its inputs are
+//! small enough that no single row clears the row fan-out gate; the `dp`
+//! unit test `parallel_rows_are_bit_identical_to_sequential` pins the
+//! chunked row fill itself.
 
 mod common;
 
@@ -48,9 +51,8 @@ fn inputs() -> Vec<(&'static str, SequentialRelation)> {
         ("trendy", random_sequential_trendy(701, 260, 1, 0.0, 0.0, 0.02)),
         // Wiggly gap-free: one wide scan window per row. At n = 260 a
         // row's estimated work (about 34k split points) stays below the
-        // fan-out gate (`PAR_MIN_ROW_WORK`, 65,536), so no row here fans
-        // out; the row fan-out itself is pinned by the `dp` unit test
-        // `parallel_rows_are_bit_identical_to_sequential`.
+        // row fan-out gate (`PAR_MIN_ROW_WORK`, 65,536), so even these
+        // rows fill sequentially.
         ("flat", random_sequential_continuous(702, 260, 1, 0.0, 0.0)),
     ]
 }
