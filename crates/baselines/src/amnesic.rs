@@ -14,8 +14,7 @@
 //! solver is the same Jagadish-style DP with weighted prefix sums.
 
 use crate::error::BaselineError;
-use crate::segment::PiecewiseConstant;
-use crate::series::DenseSeries;
+use pta_core::series::{DenseSeries, PiecewiseConstant};
 
 /// Optimal `c`-segment approximation under an age-weighted SSE. `weight`
 /// maps the *age* of a point (0 = most recent) to a positive weight;

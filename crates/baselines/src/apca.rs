@@ -11,8 +11,7 @@ use pta_temporal::{GroupKey, SequentialBuilder, TimeInterval};
 
 use crate::dwt::{DwtTable, Padding};
 use crate::error::BaselineError;
-use crate::segment::PiecewiseConstant;
-use crate::series::DenseSeries;
+use pta_core::series::{DenseSeries, PiecewiseConstant};
 
 /// APCA with `c` segments.
 pub fn apca(

@@ -7,7 +7,7 @@
 //! it against PTA results with the same number of intervals.
 
 use crate::error::BaselineError;
-use crate::series::DenseSeries;
+use pta_core::series::DenseSeries;
 
 /// A Chebyshev approximation.
 #[derive(Debug, Clone)]

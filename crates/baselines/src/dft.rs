@@ -8,7 +8,7 @@
 //! plots it for reference only.
 
 use crate::error::BaselineError;
-use crate::series::DenseSeries;
+use pta_core::series::DenseSeries;
 
 /// A DFT approximation.
 #[derive(Debug, Clone)]

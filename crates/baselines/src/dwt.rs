@@ -12,7 +12,7 @@
 //! segment count update locally.
 
 use crate::error::BaselineError;
-use crate::series::DenseSeries;
+use pta_core::series::DenseSeries;
 
 /// How the series is padded to the next power of two. The paper notes
 /// padding "influences the approximation result" (the right-edge
@@ -343,7 +343,7 @@ mod tests {
                 "k = {k}: {direct_sse} vs {table_sse}"
             );
             let direct_segments =
-                crate::segment::PiecewiseConstant::from_step_signal(&a.approx).segments();
+                pta_core::series::PiecewiseConstant::from_step_signal(&a.approx).segments();
             assert_eq!(segments, direct_segments, "k = {k}");
         }
     }

@@ -38,8 +38,6 @@ pub mod error;
 pub mod paa;
 pub mod pla;
 pub mod sax;
-pub mod segment;
-pub mod series;
 pub mod summarize;
 
 pub use amnesic::{amnesic_size_bounded, linear_amnesia};
@@ -51,9 +49,8 @@ pub use dwt::{dwt_for_size, dwt_top_k, DwtTable, Padding};
 pub use error::BaselineError;
 pub use paa::paa;
 pub use pla::{swing_filter, PiecewiseLinear};
+pub use pta_core::series::{DenseSeries, PiecewiseConstant};
 pub use sax::{sax, SaxOutput};
-pub use segment::PiecewiseConstant;
-pub use series::DenseSeries;
 pub use summarize::{registry, summarizer, summarizer_names};
 
 /// Crate-local result alias.

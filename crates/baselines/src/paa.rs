@@ -5,8 +5,7 @@
 //! mean. Not data-adaptive — the limitation Fig. 2(e) illustrates.
 
 use crate::error::BaselineError;
-use crate::segment::PiecewiseConstant;
-use crate::series::DenseSeries;
+use pta_core::series::{DenseSeries, PiecewiseConstant};
 
 /// PAA with `c` segments. When `c` does not divide the length, segment
 /// boundaries follow the standard `round(k·n/c)` rule so lengths differ by

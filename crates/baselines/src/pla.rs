@@ -10,7 +10,7 @@
 //! than global budget.
 
 use crate::error::BaselineError;
-use crate::series::DenseSeries;
+use pta_core::series::DenseSeries;
 
 /// A connected piecewise-linear approximation.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,8 +10,7 @@
 
 use crate::error::BaselineError;
 use crate::paa::paa;
-use crate::segment::PiecewiseConstant;
-use crate::series::DenseSeries;
+use pta_core::series::{DenseSeries, PiecewiseConstant};
 
 /// A SAX discretisation plus its numeric reconstruction.
 #[derive(Debug, Clone)]

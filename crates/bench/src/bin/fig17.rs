@@ -8,7 +8,7 @@
 use pta_bench::{
     delta_name, fmt, linspace_usize, mean_stderr, print_table, row, HarnessArgs, Scale,
 };
-use pta_core::{max_error, optimal_error_curve, Delta, GPtaC, GPtaE, Weights};
+use pta_core::{error_threshold, max_error, optimal_error_curve, Delta, GPtaC, GPtaE, Weights};
 use pta_datasets::{prepare, QueryId};
 
 fn main() {
@@ -69,15 +69,12 @@ fn main() {
             overall[di].extend_from_slice(&ratios);
 
             // gPTAε: ratio to PTAε's error at the same ε — derived from
-            // the optimal curve: the smallest k with E[k] ≤ ε·Emax.
+            // the optimal curve: the smallest k with E[k] within the
+            // threshold.
             let mut ratios_e = Vec::new();
             for &eps in &epsilons {
-                let budget = eps * emax;
-                let opt_err = optimal
-                    .iter()
-                    .find(|e| **e <= budget + 1e-9 * (1.0 + emax))
-                    .copied()
-                    .unwrap_or(0.0);
+                let budget = error_threshold(eps, emax);
+                let opt_err = optimal.iter().find(|e| **e <= budget).copied().unwrap_or(0.0);
                 let usable = opt_err > 0.0;
                 if !usable {
                     continue;

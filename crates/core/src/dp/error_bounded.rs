@@ -2,7 +2,9 @@
 
 use pta_temporal::SequentialRelation;
 
-use crate::dp::{max_error_over_runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, Fwd};
+use crate::dp::{
+    error_threshold, max_error_over_runs, Cells, DpEngine, DpExecMode, DpOptions, DpOutcome, Fwd,
+};
 use crate::error::CoreError;
 use crate::reduction::Reduction;
 use crate::weights::Weights;
@@ -49,10 +51,7 @@ pub fn error_bounded_with_opts(
     if !emax.is_finite() {
         return Err(CoreError::non_finite_data("maximal reduction error is not finite"));
     }
-    // Absolute tolerance so ε = 1 stops exactly at cmin despite the DP and
-    // the direct Emax summation accumulating rounding differently.
-    let threshold = epsilon * emax + 1e-9 * (1.0 + emax);
-    run_with_threshold(input, weights, &engine, &opts, threshold)
+    run_with_threshold(input, weights, &engine, &opts, error_threshold(epsilon, emax))
 }
 
 /// The Fig. 8 row loop against a precomputed absolute threshold, once

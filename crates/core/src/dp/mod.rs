@@ -321,9 +321,9 @@ impl DpOptions {
 }
 
 /// Work counters reported by the DP algorithms; the evaluation uses them to
-/// show how gap pruning shrinks the search space, the `dp_memory` bench
-/// tracks `peak_rows` as the memory yardstick of the two backtracking
-/// modes, and the scan/Monge split of `cells` is the yardstick of the row
+/// show how gap pruning shrinks the search space, `bench_dp` records
+/// `peak_rows` as the memory yardstick of the two backtracking modes, and
+/// the scan/Monge split of `cells` is the yardstick of the row
 /// minimization strategies.
 /// `Eq` and derived `Default` are deliberately absent:
 /// [`DpStats::certified_ratio`] is an `f64` whose neutral value is `1.0`
@@ -926,6 +926,15 @@ pub(crate) struct Partition {
 /// PTA expresses its threshold relative to this value (Def. 7).
 pub fn max_error(input: &SequentialRelation, weights: &Weights) -> Result<f64, CoreError> {
     max_error_with_policy(input, weights, GapPolicy::Strict)
+}
+
+/// The SSE threshold of error bound `ε`: `ε · E_max` plus an absolute
+/// slack of `1e-9 · (1 + E_max)`, so that `ε = 1` stops exactly at `cmin`
+/// although the DP and the direct `E_max` summation round differently.
+/// `PTAε`, GMS, gPTAε, the Comparator and `pta-serve`'s curve lookups all
+/// answer an error bound against this one threshold.
+pub fn error_threshold(epsilon: f64, emax: f64) -> f64 {
+    epsilon * emax + 1e-9 * (1.0 + emax)
 }
 
 /// [`max_error`] under a mergeability policy: the maximal reduction then
@@ -1812,9 +1821,9 @@ struct Dnc<'a> {
     rows: &'a mut usize,
 }
 
-/// Support for the `dp_row` microbenchmark: a single forward row fill
-/// over a prebuilt engine. Hidden — not a public API and exempt from
-/// semver hygiene.
+/// Support for the `dp_row` bench: a single forward row fill over a
+/// prebuilt engine. Hidden — not a public API and exempt from semver
+/// hygiene.
 #[doc(hidden)]
 pub mod bench_support {
     use super::*;
@@ -1827,22 +1836,11 @@ pub mod bench_support {
     impl RowFill {
         /// Builds the engine (prefix stats + gap vector) once, pinned to
         /// one thread — the `dp_row` bench measures the sequential inner
-        /// loops. Use [`RowFill::with_threads`] to measure fan-out.
+        /// loops.
         pub fn new(
             input: &SequentialRelation,
             weights: &Weights,
             strategy: DpStrategy,
-        ) -> Result<Self, CoreError> {
-            Self::with_threads(input, weights, strategy, 1)
-        }
-
-        /// [`RowFill::new`] with an explicit thread budget (`0` = the
-        /// process default) — the `parallel` bench's scaling knob.
-        pub fn with_threads(
-            input: &SequentialRelation,
-            weights: &Weights,
-            strategy: DpStrategy,
-            threads: usize,
         ) -> Result<Self, CoreError> {
             Ok(Self {
                 engine: DpEngine::new_full(
@@ -1852,7 +1850,7 @@ pub mod bench_support {
                     GapPolicy::Strict,
                     true,
                     strategy,
-                    threads,
+                    1,
                 )?,
             })
         }

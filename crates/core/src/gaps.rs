@@ -97,18 +97,6 @@ impl GapVector {
         self.breaks_below(hi) > self.breaks_below(lo + 1)
     }
 
-    /// Number of breaks strictly inside `(lo, hi)` — cuts a partition of
-    /// the tuple subrange `lo..hi` is forced to take.
-    pub fn breaks_in(&self, lo: usize, hi: usize) -> usize {
-        self.breaks_below(hi).saturating_sub(self.breaks_below(lo + 1))
-    }
-
-    /// The leftmost break strictly above prefix length `i`, if any —
-    /// the `jmin` bound mirrored for suffix (backward) DP rows.
-    pub fn leftmost_break_above(&self, i: usize) -> Option<usize> {
-        self.breaks.get(self.breaks.partition_point(|&g| g <= i)).copied()
-    }
-
     /// Subrange version of [`GapVector::imax`]: the longest prefix of the
     /// tuple subrange `lo..hi` reducible to `k ≥ 1` tuples, as an absolute
     /// prefix length. Equals the `k`-th break above `lo` when at least `k`
@@ -224,20 +212,12 @@ mod tests {
         for k in 1..=4 {
             assert_eq!(g.imax_within(k, 0, 7), g.imax(k));
         }
-        assert_eq!(g.breaks_in(0, 7), 2);
-        assert_eq!(g.breaks_in(0, 6), 1);
-        assert_eq!(g.breaks_in(5, 7), 1);
-        assert_eq!(g.breaks_in(5, 6), 0);
-        assert_eq!(g.leftmost_break_above(0), Some(5));
-        assert_eq!(g.leftmost_break_above(5), Some(6));
-        assert_eq!(g.leftmost_break_above(6), None);
     }
 
     #[test]
     fn subrange_bounds_respect_the_window() {
         let g = GapVector::from_breaks(vec![2, 5, 8], 10);
         // Window (3, 10): internal breaks are 5 and 8.
-        assert_eq!(g.breaks_in(3, 10), 2);
         assert_eq!(g.imax_within(1, 3, 10), 5);
         assert_eq!(g.imax_within(2, 3, 10), 8);
         assert_eq!(g.imax_within(3, 3, 10), 10);
@@ -245,7 +225,6 @@ mod tests {
         assert_eq!(g.imin_within(2, 3, 10), 5);
         assert_eq!(g.imin_within(3, 3, 10), 3);
         // A break sitting exactly on a window edge is not internal.
-        assert_eq!(g.breaks_in(2, 8), 1);
         assert_eq!(g.imax_within(1, 2, 8), 5);
         assert_eq!(g.imin_within(1, 2, 8), 5);
         assert_eq!(g.imin_within(2, 2, 8), 2);

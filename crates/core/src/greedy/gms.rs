@@ -9,7 +9,7 @@
 use pta_temporal::SequentialRelation;
 
 use crate::cancel::CancelToken;
-use crate::dp::max_error_with_policy;
+use crate::dp::{error_threshold, max_error_with_policy};
 use crate::error::CoreError;
 use crate::gaps::GapVector;
 use crate::greedy::engine::GreedyEngine;
@@ -98,7 +98,7 @@ pub fn gms_error_bounded_with_cancel(
     }
     weights.check_dims(input.dims())?;
     let emax = max_error_with_policy(input, weights, policy)?;
-    let budget = epsilon * emax + 1e-9 * (1.0 + emax);
+    let budget = error_threshold(epsilon, emax);
     let mut engine = load(input, weights, policy, cancel)?;
     while let Some((_, key, _)) = engine.heap.peek() {
         if !key.is_finite() || engine.etot + key > budget {

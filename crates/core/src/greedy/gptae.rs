@@ -9,6 +9,7 @@
 use pta_temporal::{GroupKey, SequentialRelation, TimeInterval};
 
 use crate::cancel::CancelToken;
+use crate::dp::error_threshold;
 use crate::error::CoreError;
 use crate::greedy::engine::GreedyEngine;
 use crate::greedy::estimate::Estimates;
@@ -160,7 +161,7 @@ impl GPtaE {
     /// 22–28).
     pub fn finish(mut self) -> Result<GreedyOutcome, CoreError> {
         self.close_segment();
-        let budget = self.epsilon * self.emax_real + 1e-9 * (1.0 + self.emax_real);
+        let budget = error_threshold(self.epsilon, self.emax_real);
         while let Some((_, k, _)) = self.engine.heap.peek() {
             if !k.is_finite() || self.engine.etot + k > budget {
                 break;

@@ -59,8 +59,8 @@ pub use dp::size_bounded::{
     size_bounded_with_opts as pta_size_bounded_with_opts,
 };
 pub use dp::{
-    max_error, max_error_with_policy, DpExecMode, DpMode, DpOptions, DpOutcome, DpStats,
-    DpStrategy, DEFAULT_APPROX_EPS, DEFAULT_TABLE_BUDGET, MONGE_AUTO_MIN_WINDOW,
+    error_threshold, max_error, max_error_with_policy, DpExecMode, DpMode, DpOptions, DpOutcome,
+    DpStats, DpStrategy, DEFAULT_APPROX_EPS, DEFAULT_TABLE_BUDGET, MONGE_AUTO_MIN_WINDOW,
 };
 pub use error::CoreError;
 pub use gaps::GapVector;

@@ -26,7 +26,7 @@ use crate::cancel::CancelToken;
 use crate::dp::curve::optimal_error_curve_with_cancel;
 use crate::dp::error_bounded::error_bounded_with_opts;
 use crate::dp::size_bounded::{size_bounded_naive, size_bounded_with_opts};
-use crate::dp::{max_error_with_policy, DpMode, DpOptions, DpStats, DpStrategy};
+use crate::dp::{error_threshold, max_error_with_policy, DpMode, DpOptions, DpStats, DpStrategy};
 use crate::error::CoreError;
 use crate::gaps::GapVector;
 use crate::greedy::gms::greedy_error_curve_with_cancel;
@@ -294,14 +294,14 @@ impl<'a> SeriesView<'a> {
             .map_err(Clone::clone)
     }
 
-    /// The ε-budget of an error bound: `ε · E_max` plus the same relative
-    /// slack the greedy error-bounded algorithms allow.
+    /// The ε-budget of an error bound: [`error_threshold`] of `ε` and
+    /// this series' `E_max`.
     pub fn error_budget(&self, epsilon: f64) -> Result<f64, CoreError> {
         if !(0.0..=1.0).contains(&epsilon) {
             return Err(CoreError::invalid_error_bound(epsilon));
         }
         let emax = self.emax()?;
-        Ok(epsilon * emax + 1e-9 * (1.0 + emax))
+        Ok(error_threshold(epsilon, emax))
     }
 }
 

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pta_core::{
-    max_error, optimal_error_curve_with_cancel, pta_error_bounded_with_opts,
+    error_threshold, max_error, optimal_error_curve_with_cancel, pta_error_bounded_with_opts,
     pta_size_bounded_with_opts, CancelToken, DpOptions, DpStrategy, Weights,
 };
 use pta_failpoints::fail_point;
@@ -129,7 +129,9 @@ impl GroupEntry {
                 self.answer_size(c.min(n), cancel)
             }
             QueryBound::Error(eps) => {
-                let budget = eps * self.emax;
+                // The threshold the direct PTAε run below applies too, so
+                // an answer does not depend on the cached depth.
+                let budget = error_threshold(eps, self.emax);
                 let curve = self.curve(cancel)?;
                 // Monotone non-increasing curve: entries above the budget
                 // form a prefix; the first entry at or below it is the

@@ -4,8 +4,8 @@
 //!
 //! The build environment has no crates.io access, so this crate plays the
 //! role `rayon` (or a long-lived `crossbeam` pool) would otherwise fill,
-//! with the same replacement story as the `rand`/`criterion` shims: swap
-//! it out unchanged once a registry exists (ROADMAP). Under the
+//! with the same replacement story as the `rand` shim: swap it out
+//! unchanged once a registry exists (ROADMAP). Under the
 //! workspace-wide `forbid(unsafe_code)` the only safe primitive for
 //! borrowing worker threads is [`std::thread::scope`], so a [`Pool`] is a
 //! *thread budget*, not a set of live threads: every [`Pool::map`] call

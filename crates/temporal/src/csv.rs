@@ -6,7 +6,7 @@
 //! Sal:int"` declares the attribute names and domains, so files round-trip
 //! without external dependencies.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use pta_failpoints::fail_point;
 use pta_pool::Pool;
@@ -15,23 +15,23 @@ use crate::error::{CommonError, TemporalError};
 use crate::relation::TemporalRelation;
 use crate::schema::{Attribute, Schema};
 use crate::sequential::SequentialRelation;
-use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use crate::TimeInterval;
 
-/// How the CSV readers treat malformed data rows.
+/// How the CSV reader treats malformed data rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RowPolicy {
     /// Abort the read on the first malformed row (the default).
     #[default]
     Strict,
     /// Skip malformed rows, keep the well-formed ones, and report the
-    /// skips in an [`IngestReport`]. I/O errors still abort.
+    /// skips in an [`IngestReport`]. A failed chunk (an injected
+    /// `csv.chunk` fault) still aborts.
     SkipAndReport,
 }
 
-/// What a [`RowPolicy::SkipAndReport`] read skipped. The sequential and
-/// the chunked readers produce identical reports for the same input.
+/// What a [`RowPolicy::SkipAndReport`] read skipped. The report is the
+/// same whatever the thread budget and chunk placement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Data rows that parsed and made it into the relation.
@@ -65,9 +65,9 @@ impl IngestReport {
 
     /// Folds a chunk's report into this one. Chunks drain in file order,
     /// so the first [`IngestReport::MAX_ERRORS`] messages overall are
-    /// exactly the sequential reader's: a chunk's capped message list
-    /// covers its earliest skips, and once this report's cap is reached
-    /// no later chunk's messages are needed.
+    /// exactly a one-chunk read's: a chunk's capped message list covers
+    /// its earliest skips, and once this report's cap is reached no later
+    /// chunk's messages are needed.
     fn absorb(&mut self, chunk: IngestReport) {
         self.rows_kept += chunk.rows_kept;
         self.rows_skipped += chunk.rows_skipped;
@@ -125,8 +125,7 @@ fn parse_value(raw: &str, dtype: DataType, line: usize) -> Result<Value, Tempora
 }
 
 /// Parses one non-skipped data row (already trimmed) into its attribute
-/// values and interval. Shared by the sequential and the chunked readers
-/// so both report byte-for-byte identical errors for the same row.
+/// values and interval.
 fn parse_row(
     schema: &Schema,
     trimmed: &str,
@@ -160,102 +159,7 @@ fn parse_row(
     Ok((values, TimeInterval::new(start, end)?))
 }
 
-/// Reads a temporal relation from CSV. The first line must be a header;
-/// every following line carries the attribute values in schema order plus
-/// `t_start` and `t_end`. Empty lines and `#` comments are skipped.
-///
-/// The reader is allocation-light on the hot path: one line buffer is
-/// reused across rows (`read_line` instead of the per-line `String`s of
-/// `lines()`), and fields are consumed straight off the split iterator
-/// without collecting them — only the parsed `Value`s themselves
-/// allocate. `crates/bench/benches/csv_ingest.rs` pins the throughput.
-pub fn read_relation(
-    schema: Schema,
-    mut reader: impl BufRead,
-) -> Result<TemporalRelation, TemporalError> {
-    let mut rel = TemporalRelation::new(schema);
-    let schema = rel.schema().clone();
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let read = reader.read_line(&mut line).map_err(|e| TemporalError::NonSequential {
-            index: lineno,
-            reason: format!("I/O error: {e}"),
-        })?;
-        if read == 0 {
-            break;
-        }
-        let row_index = lineno;
-        lineno += 1;
-        if row_index == 0 {
-            // Header.
-            continue;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let (values, interval) = parse_row(&schema, trimmed, row_index)?;
-        rel.push(values, interval)?;
-    }
-    Ok(rel)
-}
-
-/// [`read_relation`] under a [`RowPolicy`]. Under
-/// [`RowPolicy::SkipAndReport`], malformed data rows are skipped instead
-/// of aborting the read, and the returned [`IngestReport`] lists them.
-pub fn read_relation_with_policy(
-    schema: Schema,
-    reader: impl BufRead,
-    policy: RowPolicy,
-) -> Result<(TemporalRelation, IngestReport), TemporalError> {
-    match policy {
-        RowPolicy::Strict => read_relation(schema, reader).map(|rel| {
-            let report = IngestReport { rows_kept: rel.len(), ..IngestReport::default() };
-            (rel, report)
-        }),
-        RowPolicy::SkipAndReport => read_relation_lenient(schema, reader),
-    }
-}
-
-fn read_relation_lenient(
-    schema: Schema,
-    mut reader: impl BufRead,
-) -> Result<(TemporalRelation, IngestReport), TemporalError> {
-    let mut rel = TemporalRelation::new(schema);
-    let schema = rel.schema().clone();
-    let mut report = IngestReport::default();
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let read = reader.read_line(&mut line).map_err(|e| TemporalError::NonSequential {
-            index: lineno,
-            reason: format!("I/O error: {e}"),
-        })?;
-        if read == 0 {
-            break;
-        }
-        let row_index = lineno;
-        lineno += 1;
-        if row_index == 0 {
-            // Header.
-            continue;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match parse_row(&schema, trimmed, row_index).and_then(|(v, iv)| rel.push(v, iv)) {
-            Ok(()) => report.rows_kept += 1,
-            Err(e) => report.record(row_index, &e),
-        }
-    }
-    Ok((rel, report))
-}
-
-/// Inputs below this size parse sequentially even under a multi-thread
+/// Inputs below this size parse as one chunk even under a multi-thread
 /// budget: chunk setup costs more than the parse itself.
 const PAR_MIN_BYTES: usize = 1 << 16;
 
@@ -264,69 +168,33 @@ const PAR_MIN_BYTES: usize = 1 << 16;
 /// blocks, string-heavy rows).
 const PAR_CHUNKS_PER_WORKER: usize = 4;
 
-/// [`read_relation`] with the parse fanned out across a thread pool:
-/// the whole input is read up front, split into newline-aligned chunks,
-/// parsed chunk-wise on the default pool (`PTA_THREADS`), and the rows
-/// spliced back in file order. The result is row-identical to the
-/// sequential reader — including *which* error a malformed file reports:
-/// chunk results are drained in file order and each chunk stops at its
-/// first bad row, so the first bad row in the file wins, exactly as if
-/// the file had been parsed front to back.
-pub fn read_relation_parallel(
-    schema: Schema,
-    mut reader: impl BufRead,
-) -> Result<TemporalRelation, TemporalError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text).map_err(|e| TemporalError::NonSequential {
-        index: 0,
-        reason: format!("I/O error: {e}"),
-    })?;
-    read_relation_str(schema, &text, 0)
-}
-
-/// [`read_relation_parallel`] over an in-memory string with an explicit
-/// thread budget (`0` = the process default). Single-thread budgets and
-/// small inputs take the sequential path unchanged.
+/// Reads a temporal relation from CSV text under `policy`, returning the
+/// [`IngestReport`] alongside. The first line must be a header; every
+/// following line carries the attribute values in schema order plus
+/// `t_start` and `t_end`. Empty lines and `#` comments are skipped.
+///
+/// - [`RowPolicy::Strict`]: the first malformed row in file order is a
+///   typed error.
+/// - [`RowPolicy::SkipAndReport`]: malformed rows are skipped and listed
+///   in the report.
+///
+/// Under a thread budget above one (`0` = the `PTA_THREADS` default),
+/// inputs of at least 64 KiB parse in newline-aligned chunks on the pool;
+/// smaller inputs and single-thread budgets parse as one chunk. The rows,
+/// the error and the report are the same either way.
 pub fn read_relation_str(
-    schema: Schema,
-    text: &str,
-    threads: usize,
-) -> Result<TemporalRelation, TemporalError> {
-    let pool = Pool::new(threads);
-    if pool.threads() <= 1 || text.len() < PAR_MIN_BYTES {
-        return read_relation(schema, text.as_bytes());
-    }
-    let chunks = pool.threads() * PAR_CHUNKS_PER_WORKER;
-    read_str_chunked(schema, text, &pool, chunks)
-}
-
-/// [`read_relation_str`] under a [`RowPolicy`]. The surviving rows and
-/// the [`IngestReport`] are identical to
-/// [`read_relation_with_policy`]'s over the same input, whatever the
-/// thread budget or chunk placement.
-pub fn read_relation_str_with_policy(
     schema: Schema,
     text: &str,
     threads: usize,
     policy: RowPolicy,
 ) -> Result<(TemporalRelation, IngestReport), TemporalError> {
     let pool = Pool::new(threads);
-    if policy == RowPolicy::Strict || pool.threads() <= 1 || text.len() < PAR_MIN_BYTES {
-        // Strict parses chunked as before; lenient small inputs fall back
-        // to the sequential lenient reader.
-        return match policy {
-            RowPolicy::Strict if pool.threads() > 1 && text.len() >= PAR_MIN_BYTES => {
-                let chunks = pool.threads() * PAR_CHUNKS_PER_WORKER;
-                read_str_chunked(schema, text, &pool, chunks).map(|rel| {
-                    let report = IngestReport { rows_kept: rel.len(), ..IngestReport::default() };
-                    (rel, report)
-                })
-            }
-            _ => read_relation_with_policy(schema, text.as_bytes(), policy),
-        };
-    }
-    let chunks = pool.threads() * PAR_CHUNKS_PER_WORKER;
-    read_str_chunked_lenient(schema, text, &pool, chunks)
+    let chunks = if pool.threads() > 1 && text.len() >= PAR_MIN_BYTES {
+        pool.threads() * PAR_CHUNKS_PER_WORKER
+    } else {
+        1
+    };
+    read_chunked(schema, text, &pool, chunks, policy)
 }
 
 /// Newline-aligned chunk extents: `(start, end, first_line)` byte ranges
@@ -365,110 +233,61 @@ fn chunk_bounds(text: &str, chunks: usize) -> Vec<(usize, usize, usize)> {
     out
 }
 
-/// Parses one chunk into row parts. `first_line` keeps global line
-/// numbers (and thus the header skip and error indices) identical to the
-/// sequential reader's.
+/// Parses one chunk into a relation of its own and a report.
+/// `first_line` keeps global line numbers (and thus the header skip and
+/// error indices) the same as a one-chunk read's. Under
+/// [`RowPolicy::Strict`] the chunk stops at its first bad row.
 fn parse_chunk(
     schema: &Schema,
     chunk: &str,
     first_line: usize,
-) -> Result<Vec<(Vec<Value>, TimeInterval)>, TemporalError> {
+    policy: RowPolicy,
+) -> Result<(TemporalRelation, IngestReport), TemporalError> {
     fail_point!("csv.chunk", |msg: String| Err(TemporalError::NonSequential {
         index: first_line,
         reason: msg,
     }));
-    let mut rows = Vec::new();
-    for (i, line) in chunk.lines().enumerate() {
-        let row_index = first_line + i;
-        if row_index == 0 {
-            // Header.
-            continue;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        rows.push(parse_row(schema, trimmed, row_index)?);
-    }
-    Ok(rows)
-}
-
-/// The chunked parse against an explicit pool and chunk count — the
-/// equivalence tests force tiny chunks through here to exercise every
-/// boundary placement.
-fn read_str_chunked(
-    schema: Schema,
-    text: &str,
-    pool: &Pool,
-    chunks: usize,
-) -> Result<TemporalRelation, TemporalError> {
-    let bounds = chunk_bounds(text, chunks);
-    let schema_ref = &schema;
-    let parsed = pool.map(bounds, |(start, end, first_line)| {
-        parse_chunk(schema_ref, &text[start..end], first_line)
-    });
-    let mut rel = TemporalRelation::new(schema);
-    for chunk in parsed {
-        for (values, interval) in chunk? {
-            rel.push(values, interval)?;
-        }
-    }
-    Ok(rel)
-}
-
-/// The lenient chunk parse: malformed rows land in the chunk's report
-/// instead of aborting it. Kept rows carry their file line so the drain
-/// loop can attribute any (in practice unreachable) push failure.
-fn parse_chunk_lenient(
-    schema: &Schema,
-    chunk: &str,
-    first_line: usize,
-) -> (Vec<(usize, Vec<Value>, TimeInterval)>, IngestReport) {
-    fail_point!("csv.chunk");
-    let mut rows = Vec::new();
+    let mut rel = TemporalRelation::new(schema.clone());
     let mut report = IngestReport::default();
     for (i, line) in chunk.lines().enumerate() {
         let row_index = first_line + i;
-        if row_index == 0 {
-            // Header.
-            continue;
-        }
         let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        // Line 0 is the header.
+        if row_index == 0 || trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        match parse_row(schema, trimmed, row_index) {
-            Ok((values, interval)) => rows.push((row_index, values, interval)),
+        match parse_row(schema, trimmed, row_index).and_then(|(v, iv)| rel.push(v, iv)) {
+            Ok(()) => {}
+            Err(e) if policy == RowPolicy::Strict => return Err(e),
             Err(e) => report.record(row_index, &e),
         }
     }
-    (rows, report)
+    report.rows_kept = rel.len();
+    Ok((rel, report))
 }
 
-/// The lenient chunked parse — row- and report-identical to
-/// [`read_relation_lenient`]: chunks drain in file order, and
-/// [`IngestReport::absorb`] preserves the first-N error sample.
-fn read_str_chunked_lenient(
+/// Parses `chunks` newline-aligned chunks of `text` on `pool` and drains
+/// them in file order. A strict chunk stops at its first bad row, so the
+/// first error drained is the first bad row in the file, and
+/// [`IngestReport::absorb`] keeps a lenient read's first-N error sample.
+/// The tests force tiny chunks through here to exercise every boundary
+/// placement.
+fn read_chunked(
     schema: Schema,
     text: &str,
     pool: &Pool,
     chunks: usize,
+    policy: RowPolicy,
 ) -> Result<(TemporalRelation, IngestReport), TemporalError> {
-    let bounds = chunk_bounds(text, chunks);
-    let schema_ref = &schema;
-    let parsed = pool.map(bounds, |(start, end, first_line)| {
-        parse_chunk_lenient(schema_ref, &text[start..end], first_line)
+    let parsed = pool.map(chunk_bounds(text, chunks), |(start, end, first_line)| {
+        parse_chunk(&schema, &text[start..end], first_line, policy)
     });
     let mut rel = TemporalRelation::new(schema);
     let mut report = IngestReport::default();
-    for (rows, chunk_report) in parsed {
-        report.absorb(chunk_report);
-        for (line, values, interval) in rows {
-            match rel.push(values, interval) {
-                Ok(()) => report.rows_kept += 1,
-                Err(e) => report.record(line, &e),
-            }
-        }
+    for chunk in parsed {
+        let (part, part_report) = chunk?;
+        rel.append(part);
+        report.absorb(part_report);
     }
     Ok((rel, report))
 }
@@ -521,15 +340,22 @@ pub fn write_sequential(
     Ok(())
 }
 
-/// Convenience re-export of [`Tuple`] construction from parsed parts.
-pub fn tuple(values: Vec<Value>, interval: TimeInterval) -> Tuple {
-    Tuple::new(values, interval)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+
+    /// The one-chunk read every chunked read must match.
+    fn one_chunk(
+        schema: &Schema,
+        text: &str,
+        policy: RowPolicy,
+    ) -> Result<(TemporalRelation, IngestReport), TemporalError> {
+        read_chunked(schema.clone(), text, &Pool::new(1), 1, policy)
+    }
+
+    fn strict(schema: &Schema, text: &str) -> Result<TemporalRelation, TemporalError> {
+        one_chunk(schema, text, RowPolicy::Strict).map(|(rel, _)| rel)
+    }
 
     #[test]
     fn schema_parsing() {
@@ -557,9 +383,9 @@ mod tests {
         .unwrap();
         let mut buf = Vec::new();
         write_relation(&rel, &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
+        let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("Empl,Proj,Sal,t_start,t_end\n"));
-        let back = read_relation(schema, BufReader::new(&buf[..])).unwrap();
+        let (back, _) = read_relation_str(schema, &text, 1, RowPolicy::Strict).unwrap();
         assert_eq!(back, rel);
     }
 
@@ -567,7 +393,7 @@ mod tests {
     fn comments_and_blank_lines_are_skipped() {
         let schema = parse_schema("V:int").unwrap();
         let text = "V,t_start,t_end\n# comment\n\n5,1,2\n";
-        let rel = read_relation(schema, BufReader::new(text.as_bytes())).unwrap();
+        let rel = strict(&schema, text).unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.tuples()[0].value(0), &Value::Int(5));
     }
@@ -581,10 +407,7 @@ mod tests {
             "V,t_start,t_end\n5,9,2\n", // inverted interval
             "V,t_start,t_end\n5,a,2\n", // bad chronon
         ] {
-            assert!(
-                read_relation(schema.clone(), BufReader::new(text.as_bytes())).is_err(),
-                "{text:?} should fail"
-            );
+            assert!(strict(&schema, text).is_err(), "{text:?} should fail");
         }
     }
 
@@ -598,7 +421,7 @@ mod tests {
             ("Empl,Proj,Sal,t_start,t_end\ne1,p1,100,extra,0,5\n", 6),
             ("Empl,Proj,Sal,t_start,t_end\ne1,p1,100,0\n", 4),
         ] {
-            let err = read_relation(schema.clone(), BufReader::new(text.as_bytes())).unwrap_err();
+            let err = strict(&schema, text).unwrap_err();
             assert!(
                 matches!(err, TemporalError::ArityMismatch { got: g, expected: 5 } if g == got),
                 "{text:?}: {err}"
@@ -645,7 +468,7 @@ mod tests {
         }
     }
 
-    /// The chunked parse is row-identical to the sequential reader across
+    /// The chunked parse is row-identical to a one-chunk read across
     /// trailing-newline, blank-line, and comment placements, for chunk
     /// counts from one to far more than the worker count — including
     /// counts that force boundaries onto comments and blank lines.
@@ -654,32 +477,38 @@ mod tests {
         let schema = parse_schema("Empl:str,Dept:str,Sal:int").unwrap();
         for trailing in [true, false] {
             let text = corpus(211, trailing);
-            let seq = read_relation(schema.clone(), text.as_bytes()).unwrap();
+            let seq = one_chunk(&schema, &text, RowPolicy::Strict).unwrap();
             for (threads, chunks) in [(1, 1), (2, 2), (4, 3), (4, 7), (4, 64), (4, 1000)] {
-                let par =
-                    read_str_chunked(schema.clone(), &text, &Pool::new(threads), chunks).unwrap();
+                let par = read_chunked(
+                    schema.clone(),
+                    &text,
+                    &Pool::new(threads),
+                    chunks,
+                    RowPolicy::Strict,
+                )
+                .unwrap();
                 assert_eq!(par, seq, "threads {threads}, chunks {chunks}, trailing {trailing}");
             }
         }
     }
 
-    /// The public entry points agree with the sequential reader too (the
-    /// corpus here is below `PAR_MIN_BYTES`, so this also pins the small-
-    /// input fallback; the forced-chunk test above covers the fan-out).
+    /// The public reader agrees with a one-chunk read at every thread
+    /// budget (the corpus here is below `PAR_MIN_BYTES`, so this pins the
+    /// small-input path; the forced-chunk test above covers the fan-out).
     #[test]
     fn parallel_reader_matches_sequential() {
         let schema = parse_schema("Empl:str,Dept:str,Sal:int").unwrap();
         let text = corpus(150, true);
-        let seq = read_relation(schema.clone(), text.as_bytes()).unwrap();
-        assert_eq!(read_relation_parallel(schema.clone(), text.as_bytes()).unwrap(), seq);
+        let seq = one_chunk(&schema, &text, RowPolicy::Strict).unwrap();
         for threads in [0, 1, 2, 4] {
-            assert_eq!(read_relation_str(schema.clone(), &text, threads).unwrap(), seq);
+            let read = read_relation_str(schema.clone(), &text, threads, RowPolicy::Strict);
+            assert_eq!(read.unwrap(), seq, "threads {threads}");
         }
     }
 
     /// Error reporting is in file order: the first bad row in the file
     /// wins even when a later chunk also contains a bad row, and the
-    /// reported error is identical to the sequential reader's.
+    /// reported error is identical to a one-chunk read's.
     #[test]
     fn chunked_errors_match_sequential_in_file_order() {
         let schema = parse_schema("Empl:str,Dept:str,Sal:int").unwrap();
@@ -692,10 +521,11 @@ mod tests {
         mutated[bad_late] = "e1,d1,7,5".into();
         text = mutated.join("\n");
         text.push('\n');
-        let seq_err = read_relation(schema.clone(), text.as_bytes()).unwrap_err();
+        let seq_err = strict(&schema, &text).unwrap_err();
         for chunks in [2, 5, 64] {
             let par_err =
-                read_str_chunked(schema.clone(), &text, &Pool::new(4), chunks).unwrap_err();
+                read_chunked(schema.clone(), &text, &Pool::new(4), chunks, RowPolicy::Strict)
+                    .unwrap_err();
             assert_eq!(par_err.to_string(), seq_err.to_string(), "chunks {chunks}");
         }
         assert!(seq_err.to_string().contains("not-a-number"), "{seq_err}");
@@ -715,17 +545,8 @@ mod tests {
         mutated[bad[1]] = "e1,d1,7,5".into(); // missing column
         mutated[bad[2]] = "e1,d1,7,9,2".into(); // inverted interval
         let mutated_text = mutated.join("\n") + "\n";
-        assert!(
-            read_relation_with_policy(schema.clone(), mutated_text.as_bytes(), RowPolicy::Strict)
-                .is_err(),
-            "strict must fail on the bad rows"
-        );
-        let (rel, report) = read_relation_with_policy(
-            schema.clone(),
-            mutated_text.as_bytes(),
-            RowPolicy::SkipAndReport,
-        )
-        .unwrap();
+        assert!(strict(&schema, &mutated_text).is_err(), "strict must fail on the bad rows");
+        let (rel, report) = one_chunk(&schema, &mutated_text, RowPolicy::SkipAndReport).unwrap();
         assert_eq!(report.rows_skipped, 3);
         assert_eq!(report.skipped_lines, bad.to_vec());
         assert_eq!(report.first_errors.len(), 3);
@@ -739,7 +560,7 @@ mod tests {
             .map(|(_, l)| l.clone())
             .collect();
         let clean_text = clean.join("\n") + "\n";
-        let clean_rel = read_relation(schema, BufReader::new(clean_text.as_bytes())).unwrap();
+        let clean_rel = strict(&schema, &clean_text).unwrap();
         assert_eq!(rel, clean_rel);
         assert_eq!(report.rows_kept, rel.len());
     }
@@ -753,15 +574,14 @@ mod tests {
         for _ in 0..(IngestReport::MAX_ERRORS + 9) {
             text.push_str("oops,1,2\n");
         }
-        let (rel, report) =
-            read_relation_with_policy(schema, text.as_bytes(), RowPolicy::SkipAndReport).unwrap();
+        let (rel, report) = one_chunk(&schema, &text, RowPolicy::SkipAndReport).unwrap();
         assert!(rel.is_empty());
         assert_eq!(report.rows_skipped, IngestReport::MAX_ERRORS + 9);
         assert_eq!(report.skipped_lines.len(), IngestReport::MAX_ERRORS + 9);
         assert_eq!(report.first_errors.len(), IngestReport::MAX_ERRORS);
     }
 
-    /// Sequential and chunked lenient reads are identical — surviving
+    /// One-chunk and chunked lenient reads are identical — surviving
     /// rows *and* report — with malformed rows forced onto chunk
     /// boundaries by sweeping the chunk count.
     #[test]
@@ -781,47 +601,48 @@ mod tests {
             if trailing {
                 mtext.push('\n');
             }
-            let (seq_rel, seq_report) = read_relation_with_policy(
-                schema.clone(),
-                mtext.as_bytes(),
-                RowPolicy::SkipAndReport,
-            )
-            .unwrap();
+            let (seq_rel, seq_report) =
+                one_chunk(&schema, &mtext, RowPolicy::SkipAndReport).unwrap();
             assert!(seq_report.has_skips());
             for (threads, chunks) in [(2, 2), (4, 3), (4, 7), (4, 64), (4, 1000)] {
-                let (par_rel, par_report) =
-                    read_str_chunked_lenient(schema.clone(), &mtext, &Pool::new(threads), chunks)
-                        .unwrap();
+                let (par_rel, par_report) = read_chunked(
+                    schema.clone(),
+                    &mtext,
+                    &Pool::new(threads),
+                    chunks,
+                    RowPolicy::SkipAndReport,
+                )
+                .unwrap();
                 assert_eq!(par_rel, seq_rel, "threads {threads}, chunks {chunks}");
                 assert_eq!(par_report, seq_report, "threads {threads}, chunks {chunks}");
             }
-            // The public entry point agrees too.
+            // The public reader agrees too.
             let (pub_rel, pub_report) =
-                read_relation_str_with_policy(schema.clone(), &mtext, 4, RowPolicy::SkipAndReport)
-                    .unwrap();
+                read_relation_str(schema.clone(), &mtext, 4, RowPolicy::SkipAndReport).unwrap();
             assert_eq!(pub_rel, seq_rel);
             assert_eq!(pub_report, seq_report);
         }
     }
 
-    /// The strict policy through the policy-aware entry points behaves
-    /// exactly like the plain readers.
+    /// On clean input the public reader returns the one-chunk read's rows
+    /// and a skip-free report under either policy and any thread budget.
     #[test]
     fn strict_policy_wrappers_match_plain_readers() {
         let schema = parse_schema("Empl:str,Dept:str,Sal:int").unwrap();
         let text = corpus(150, true);
-        let plain = read_relation(schema.clone(), text.as_bytes()).unwrap();
-        let (rel, report) =
-            read_relation_with_policy(schema.clone(), text.as_bytes(), RowPolicy::Strict).unwrap();
-        assert_eq!(rel, plain);
-        assert_eq!(report.rows_kept, plain.len());
-        assert!(!report.has_skips());
-        let (rel2, _) =
-            read_relation_str_with_policy(schema.clone(), &text, 4, RowPolicy::Strict).unwrap();
-        assert_eq!(rel2, plain);
+        let plain = strict(&schema, &text).unwrap();
+        for policy in [RowPolicy::Strict, RowPolicy::SkipAndReport] {
+            for threads in [1, 4] {
+                let (rel, report) =
+                    read_relation_str(schema.clone(), &text, threads, policy).unwrap();
+                assert_eq!(rel, plain, "{policy:?}, threads {threads}");
+                assert_eq!(report.rows_kept, plain.len());
+                assert!(!report.has_skips());
+            }
+        }
         // Strict still aborts on a bad row.
         let bad = "Empl,Dept,Sal,t_start,t_end\ne1,d1,x,1,2\n";
-        assert!(read_relation_with_policy(schema, bad.as_bytes(), RowPolicy::Strict).is_err());
+        assert!(read_relation_str(schema, bad, 1, RowPolicy::Strict).is_err());
     }
 
     #[test]

@@ -63,6 +63,13 @@ impl TemporalRelation {
         Ok(())
     }
 
+    /// Moves `other`'s tuples, already checked against the same schema,
+    /// onto the end of this relation.
+    pub(crate) fn append(&mut self, mut other: Self) {
+        debug_assert_eq!(self.schema, other.schema);
+        self.tuples.append(&mut other.tuples);
+    }
+
     /// Builds a relation from rows, failing on the first invalid row.
     pub fn from_rows(
         schema: Schema,

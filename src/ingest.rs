@@ -29,8 +29,7 @@ pub fn read_csv(
     threads: usize,
     policy: RowPolicy,
 ) -> crate::Result<(TemporalRelation, IngestReport)> {
-    pta_temporal::csv::read_relation_str_with_policy(schema, text, threads, policy)
-        .map_err(Error::from)
+    pta_temporal::csv::read_relation_str(schema, text, threads, policy).map_err(Error::from)
 }
 
 #[cfg(test)]

@@ -39,9 +39,7 @@ use pta_core::CoreError;
 use pta_datasets::proj_relation;
 use pta_failpoints as fail;
 use pta_pool::Pool;
-use pta_temporal::csv::{
-    parse_schema, read_relation_str, read_relation_str_with_policy, RowPolicy,
-};
+use pta_temporal::csv::{parse_schema, read_relation_str, RowPolicy};
 use pta_temporal::TemporalError;
 
 /// Serializes scenarios on the process-global registry.
@@ -142,19 +140,25 @@ fn csv_chunk_fault_is_a_typed_parse_error_and_clears_on_exhaustion() {
     for i in 0..4000u64 {
         text.push_str(&format!("e{i},d{},{},{},{}\n", i % 7, i % 100, 2 * i, 2 * i + 1));
     }
-    let clean = read_relation_str(schema.clone(), &text, 4).unwrap();
+    let strict = |threads| {
+        read_relation_str(schema.clone(), &text, threads, RowPolicy::Strict).map(|(rel, _)| rel)
+    };
+    let clean = strict(4).unwrap();
     assert_eq!(clean.len(), 4000);
-    fail::cfg("csv.chunk", "1*return(injected chunk fault)").unwrap();
-    let err = read_relation_str(schema.clone(), &text, 4).unwrap_err();
-    match err {
-        TemporalError::NonSequential { reason, .. } => {
-            assert!(reason.contains("injected chunk fault"), "fault message lost: {reason}")
+    // A one-chunk read (threads = 1) crosses the same site as the
+    // chunked one (threads = 4).
+    for threads in [1, 4] {
+        fail::cfg("csv.chunk", "1*return(injected chunk fault)").unwrap();
+        match strict(threads).unwrap_err() {
+            TemporalError::NonSequential { reason, .. } => {
+                assert!(reason.contains("injected chunk fault"), "fault message lost: {reason}")
+            }
+            other => panic!("expected a typed parse error, got {other:?}"),
         }
-        other => panic!("expected a typed parse error, got {other:?}"),
+        // The `1*` count is spent: the very next read succeeds, row-identical.
+        assert_eq!(strict(threads).unwrap(), clean, "threads {threads}");
     }
-    // The `1*` count is spent: the very next read succeeds, row-identical.
-    assert_eq!(read_relation_str(schema.clone(), &text, 4).unwrap(), clean);
-    // The lenient chunked reader passes every chunk through the same
+    // The lenient chunked read passes every chunk through the same
     // site; a counting callback observes the whole fan-out and the
     // result is unperturbed.
     let hits = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -162,8 +166,7 @@ fn csv_chunk_fault_is_a_typed_parse_error_and_clears_on_exhaustion() {
     fail::cfg_callback("csv.chunk", move || {
         h.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     });
-    let (rel, report) =
-        read_relation_str_with_policy(schema, &text, 4, RowPolicy::SkipAndReport).unwrap();
+    let (rel, report) = read_relation_str(schema, &text, 4, RowPolicy::SkipAndReport).unwrap();
     assert_eq!(rel, clean);
     assert!(!report.has_skips());
     assert!(hits.load(std::sync::atomic::Ordering::SeqCst) > 1, "chunked path not taken");

@@ -185,6 +185,28 @@ fn ingest_report_surfaces_in_stats() {
     join.join().expect("run() returns");
 }
 
+/// `eps=` has one threshold, `pta_core::error_threshold`, whether the
+/// answer is read off a cached curve or comes from the direct PTAε run
+/// past the cached depth. Merging this group's first two tuples costs
+/// 5e-11: more than 0, but within the threshold's `1e-9·(1 + E_max)`
+/// slack, so both stores answer `eps=0` with three tuples.
+#[test]
+fn eps_zero_answers_the_same_size_at_every_curve_depth() {
+    let schema = parse_schema("Proj:str,Sal:float").expect("schema");
+    let text = "Proj,Sal,t_start,t_end\nA,0,1,1\nA,0.00001,2,2\nA,10,3,3\nA,20,4,4\n";
+    let (relation, _) = pta::read_csv(schema, text, 1, RowPolicy::Strict).expect("read");
+    let answer = |depth| {
+        let store = reference_store(&relation, depth);
+        store.get("A").expect("group A").answer(QueryBound::Error(0.0), &CancelToken::inert())
+    };
+    let curve = answer(128).expect("curve answer");
+    let direct = answer(0).expect("direct answer");
+    assert!(curve.cached && !direct.cached, "{curve:?} {direct:?}");
+    assert_eq!(curve.size, 3, "{curve:?}");
+    assert_eq!(direct.size, curve.size, "{direct:?}");
+    assert!(curve.sse > 0.0 && direct.sse > 0.0, "{curve:?} {direct:?}");
+}
+
 /// Fault-free soak: concurrent clients hammering both groups while the
 /// server is shut down mid-burst. Every response is either the
 /// bit-identical `ok` line or a typed late-arrival rejection; the server
