@@ -6,7 +6,7 @@
 //! adjacent segments until `c` remain (§2.2, Fig. 2(f)). The greedy merge
 //! is exactly PTA's GMS on the segment relation, so we reuse it.
 
-use pta_core::{gms_size_bounded, Weights};
+use pta_core::{gms_size_bounded, CancelToken, GapPolicy, Weights};
 use pta_temporal::{GroupKey, SequentialBuilder, TimeInterval};
 
 use crate::dwt::{DwtTable, Padding};
@@ -42,7 +42,13 @@ pub fn apca(
         )?;
     }
     let seg_rel = b.build();
-    let merged = gms_size_bounded(&seg_rel, &Weights::uniform(1), c)?;
+    let merged = gms_size_bounded(
+        &seg_rel,
+        &Weights::uniform(1),
+        c,
+        GapPolicy::Strict,
+        CancelToken::inert(),
+    )?;
     let z = merged.reduction.relation();
     let mut boundaries = Vec::with_capacity(c + 1);
     let mut values = Vec::with_capacity(c);

@@ -16,6 +16,12 @@
 //!   the best run per size, PLA bisects its L∞ tolerance;
 //! * everything reports the same time-weighted SSE PTA minimizes, so
 //!   curves are directly comparable.
+//!
+//! Each adapter runs the one configuration the evaluation uses (8 ATC
+//! thresholds per decade, zero-padded wavelets for APCA and DWT, an
+//! 8-symbol SAX alphabet, unit amnesic weights), so every adapter is a
+//! field-less unit struct except PLA's search; the free functions keep
+//! the knobs.
 
 use std::time::{Duration, Instant};
 
@@ -23,9 +29,9 @@ use pta_core::summarize::{
     size_for_error_budget, Bound, BoxedSummarizer, Capabilities, SeriesView, Summarizer, Summary,
     SummaryDetail, SummaryStats,
 };
-use pta_core::{CoreError, DenseSeries, DpMode, ExactPta, GreedyPta, NaiveDp};
+use pta_core::{CoreError, DenseSeries, ExactPta, GreedyPta, NaiveDp};
 
-use crate::amnesic::{amnesic_size_bounded, linear_amnesia};
+use crate::amnesic::amnesic_size_bounded;
 use crate::apca::apca;
 use crate::atc::{atc, atc_sweep, AtcRun};
 use crate::chebyshev::chebyshev;
@@ -36,28 +42,26 @@ use crate::paa::paa;
 use crate::pla::swing_filter;
 use crate::sax::sax;
 
-/// The full summarizer registry: exact PTA (auto plus both pinned
-/// [`DpMode`] backtracking paths), the certified `(1 + ε)`-approximate
-/// `approx` tier (default ε), the naive-DP baseline, the greedy family
-/// (streaming δ = 1 and offline GMS), and the nine baseline methods —
-/// every algorithm of the §7 comparison, runnable by name.
+/// The full summarizer registry: exact PTA, the certified
+/// `(1 + ε)`-approximate `approx` tier (default ε), the naive-DP
+/// baseline, the greedy family (streaming δ = 1 and offline GMS), and the
+/// nine baseline methods — every algorithm of the §7 comparison, runnable
+/// by name, each in the one configuration the evaluation uses.
 pub fn registry() -> Vec<BoxedSummarizer> {
     vec![
         Box::new(ExactPta::new()),
-        Box::new(ExactPta::with_mode(DpMode::Table)),
-        Box::new(ExactPta::with_mode(DpMode::DivideConquer)),
         Box::new(ExactPta::approx(pta_core::DEFAULT_APPROX_EPS)),
         Box::new(NaiveDp::new()),
         Box::new(GreedyPta::new()),
         Box::new(GreedyPta::offline()),
-        Box::new(Atc::new()),
+        Box::new(Atc),
         Box::new(Paa),
-        Box::new(Apca::new()),
-        Box::new(Dwt::new()),
+        Box::new(Apca),
+        Box::new(Dwt),
         Box::new(Dft),
         Box::new(Chebyshev),
-        Box::new(Sax::new()),
-        Box::new(Amnesic::unit()),
+        Box::new(Sax),
+        Box::new(Amnesic),
         Box::new(Pla::new()),
     ]
 }
@@ -138,31 +142,15 @@ fn series_run(
 /// a size bound `c` selects the best run with at most `c` tuples, an
 /// error bound selects the smallest run within the ε-budget. Always
 /// evaluates under strict adjacency (ATC has no gap-tolerant variant).
-#[derive(Debug, Clone, Copy)]
-pub struct Atc {
-    steps_per_decade: usize,
-}
-
-impl Default for Atc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Atc;
 
 impl Atc {
-    /// ATC with the evaluation's default sweep resolution (8 thresholds
-    /// per decade).
-    pub fn new() -> Self {
-        Self { steps_per_decade: 8 }
-    }
-
-    /// ATC with an explicit sweep resolution.
-    pub fn with_steps_per_decade(steps_per_decade: usize) -> Self {
-        Self { steps_per_decade }
-    }
+    /// The evaluation's sweep resolution: thresholds per decade.
+    const STEPS_PER_DECADE: usize = 8;
 
     fn sweep(&self, view: &SeriesView<'_>) -> Result<Vec<Option<AtcRun>>, CoreError> {
-        atc_sweep(view.relation(), view.weights(), self.steps_per_decade)
+        atc_sweep(view.relation(), view.weights(), Self::STEPS_PER_DECADE)
             .map_err(BaselineError::into_core)
     }
 
@@ -299,29 +287,9 @@ impl Summarizer for Paa {
 }
 
 /// Adaptive piecewise-constant approximation behind the [`Summarizer`]
-/// interface.
-#[derive(Debug, Clone, Copy)]
-pub struct Apca {
-    padding: Padding,
-}
-
-impl Default for Apca {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Apca {
-    /// APCA with zero padding (the evaluation's setting).
-    pub fn new() -> Self {
-        Self { padding: Padding::Zero }
-    }
-
-    /// APCA with an explicit DWT padding mode.
-    pub fn with_padding(padding: Padding) -> Self {
-        Self { padding }
-    }
-}
+/// interface, over zero-padded wavelets (the evaluation's setting).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Apca;
 
 impl Summarizer for Apca {
     fn name(&self) -> &'static str {
@@ -334,36 +302,17 @@ impl Summarizer for Apca {
 
     fn run(&self, view: &SeriesView<'_>, bound: Bound) -> Result<Summary, CoreError> {
         series_run(self.name(), view, bound, |series, c| {
-            let pc = apca(series, c, self.padding).map_err(BaselineError::into_core)?;
+            let pc = apca(series, c, Padding::Zero).map_err(BaselineError::into_core)?;
             Ok((pc.segments(), pc.sse_against(series), SummaryDetail::Steps(pc)))
         })
     }
 }
 
 /// Discrete Haar wavelet approximation (best coefficient count for a
-/// segment budget) behind the [`Summarizer`] interface.
-#[derive(Debug, Clone, Copy)]
-pub struct Dwt {
-    padding: Padding,
-}
-
-impl Default for Dwt {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Dwt {
-    /// DWT with zero padding (the evaluation's setting).
-    pub fn new() -> Self {
-        Self { padding: Padding::Zero }
-    }
-
-    /// DWT with an explicit padding mode.
-    pub fn with_padding(padding: Padding) -> Self {
-        Self { padding }
-    }
-}
+/// segment budget) behind the [`Summarizer`] interface, with zero padding
+/// (the evaluation's setting).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Dwt;
 
 impl Summarizer for Dwt {
     fn name(&self) -> &'static str {
@@ -376,7 +325,7 @@ impl Summarizer for Dwt {
 
     fn run(&self, view: &SeriesView<'_>, bound: Bound) -> Result<Summary, CoreError> {
         series_run(self.name(), view, bound, |series, c| {
-            let a = dwt_for_size(series, c, self.padding).map_err(BaselineError::into_core)?;
+            let a = dwt_for_size(series, c, Padding::Zero).map_err(BaselineError::into_core)?;
             Ok((a.segments, a.sse, SummaryDetail::Signal(a.approx)))
         })
     }
@@ -435,27 +384,12 @@ impl Summarizer for Chebyshev {
 
 /// Symbolic aggregate approximation behind the [`Summarizer`] interface,
 /// scored through its numeric reconstruction.
-#[derive(Debug, Clone, Copy)]
-pub struct Sax {
-    alphabet: usize,
-}
-
-impl Default for Sax {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sax;
 
 impl Sax {
-    /// SAX with the common 8-symbol alphabet.
-    pub fn new() -> Self {
-        Self { alphabet: 8 }
-    }
-
-    /// SAX with an explicit alphabet size (`2..=26`).
-    pub fn with_alphabet(alphabet: usize) -> Self {
-        Self { alphabet }
-    }
+    /// The common 8-symbol alphabet.
+    const ALPHABET: usize = 8;
 }
 
 impl Summarizer for Sax {
@@ -469,39 +403,19 @@ impl Summarizer for Sax {
 
     fn run(&self, view: &SeriesView<'_>, bound: Bound) -> Result<Summary, CoreError> {
         series_run(self.name(), view, bound, |series, c| {
-            let out = sax(series, c, self.alphabet).map_err(BaselineError::into_core)?;
+            let out = sax(series, c, Self::ALPHABET).map_err(BaselineError::into_core)?;
             Ok((out.approx.segments(), out.sse, SummaryDetail::Steps(out.approx)))
         })
     }
 }
 
 /// Amnesic piecewise-constant approximation behind the [`Summarizer`]
-/// interface. The reported SSE is the *unweighted* error, comparable
-/// across methods; the amnesic weights shape only the segmentation.
-#[derive(Debug, Clone, Copy)]
-pub struct Amnesic {
-    rate: Option<f64>,
-}
-
-impl Default for Amnesic {
-    fn default() -> Self {
-        Self::unit()
-    }
-}
-
-impl Amnesic {
-    /// Unit weights (`RA ≡ 1`): Palpanas et al.'s disabled-amnesia case,
-    /// which coincides with exact size-bounded PTA — the registry default,
-    /// pinned by `tests/summarizers.rs`.
-    pub fn unit() -> Self {
-        Self { rate: None }
-    }
-
-    /// The paper-cited linear amnesic family `RA(age) = 1 + rate · age`.
-    pub fn linear(rate: f64) -> Self {
-        Self { rate: Some(rate) }
-    }
-}
+/// interface, with unit weights (`RA ≡ 1`): Palpanas et al.'s
+/// disabled-amnesia case, which coincides with exact size-bounded PTA
+/// (pinned by `tests/summarizers.rs`). The reported SSE is the
+/// *unweighted* error, comparable across methods.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Amnesic;
 
 impl Summarizer for Amnesic {
     fn name(&self) -> &'static str {
@@ -514,11 +428,7 @@ impl Summarizer for Amnesic {
 
     fn run(&self, view: &SeriesView<'_>, bound: Bound) -> Result<Summary, CoreError> {
         series_run(self.name(), view, bound, |series, c| {
-            let pc = match self.rate {
-                None => amnesic_size_bounded(series, c, |_| 1.0),
-                Some(rate) => amnesic_size_bounded(series, c, linear_amnesia(rate)),
-            }
-            .map_err(BaselineError::into_core)?;
+            let pc = amnesic_size_bounded(series, c, |_| 1.0).map_err(BaselineError::into_core)?;
             Ok((pc.segments(), pc.sse_against(series), SummaryDetail::Steps(pc)))
         })
     }
@@ -659,11 +569,8 @@ mod tests {
         let names = summarizer_names();
         let unique: std::collections::BTreeSet<_> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "duplicate registry names: {names:?}");
-        assert!(names.len() >= 11, "registry lists {} summarizers", names.len());
-        for expected in [
+        let expected = [
             "exact",
-            "exact-table",
-            "exact-dnc",
             "approx",
             "dp-naive",
             "greedy",
@@ -677,10 +584,16 @@ mod tests {
             "sax",
             "amnesic",
             "pla",
-        ] {
+        ];
+        assert_eq!(names.len(), expected.len(), "registry lists {names:?}");
+        for expected in expected {
             assert!(summarizer(expected).is_some(), "missing {expected}");
         }
-        assert!(summarizer("nope").is_none());
+        // The pinned-backtracking copies of `exact` are not summarizers;
+        // `DpOptions::with_mode` pins a mode on the free functions.
+        for gone in ["exact-table", "exact-dnc", "nope"] {
+            assert!(summarizer(gone).is_none(), "{gone}");
+        }
     }
 
     #[test]
@@ -733,7 +646,7 @@ mod tests {
         let rel = SequentialRelation::from_time_series(1, 0, &values).unwrap();
         let view = SeriesView::new(&rel, Weights::uniform(1)).unwrap();
         let budget = view.error_budget(1e-9).unwrap();
-        match Sax::new().summarize(&view, Bound::Error(1e-9)) {
+        match Sax.summarize(&view, Bound::Error(1e-9)) {
             Ok(out) => assert!(out.sse <= budget, "silent overshoot: {} > {budget}", out.sse),
             Err(e) => {
                 assert!(e.common().is_some_and(pta_temporal::CommonError::is_not_applicable), "{e}")
@@ -746,7 +659,7 @@ mod tests {
         let rel = series_relation();
         let view = SeriesView::new(&rel, Weights::uniform(1)).unwrap();
         let sweep = atc_sweep(&rel, &Weights::uniform(1), 8).unwrap();
-        let s = Atc::new().summarize(&view, Bound::Size(10)).unwrap();
+        let s = Atc.summarize(&view, Bound::Size(10)).unwrap();
         let best = sweep.iter().take(10).flatten().map(|r| r.sse).fold(f64::INFINITY, f64::min);
         assert_eq!(s.sse, best);
         assert!(s.size <= 10);
@@ -757,7 +670,7 @@ mod tests {
     fn grid_points_match_single_runs_for_atc() {
         let rel = series_relation();
         let view = SeriesView::new(&rel, Weights::uniform(1)).unwrap();
-        let atc = Atc::new();
+        let atc = Atc;
         let bounds = [Bound::Size(5), Bound::Size(12), Bound::Error(0.2)];
         let grid = atc.summarize_grid(&view, &bounds);
         for (b, g) in bounds.iter().zip(&grid) {
@@ -777,7 +690,7 @@ mod tests {
         let values = [5.0, 5.0, 3.0, 9.0, 1.0, 7.0, 7.0, 2.0];
         let rel = SequentialRelation::from_time_series(1, 0, &values).unwrap();
         let view = SeriesView::new(&rel, Weights::uniform(1)).unwrap();
-        let atc = Atc::new();
+        let atc = Atc;
         let bound = Bound::Error(0.0);
         let single = atc.summarize(&view, bound).unwrap();
         let grid = atc.summarize_grid(&view, &[bound]);

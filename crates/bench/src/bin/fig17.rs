@@ -8,7 +8,10 @@
 use pta_bench::{
     delta_name, fmt, linspace_usize, mean_stderr, print_table, row, HarnessArgs, Scale,
 };
-use pta_core::{error_threshold, max_error, optimal_error_curve, Delta, GPtaC, GPtaE, Weights};
+use pta_core::{
+    error_threshold, max_error, optimal_error_curve, CancelToken, Delta, GPtaC, GPtaE, GapPolicy,
+    Weights,
+};
 use pta_datasets::{prepare, QueryId};
 
 fn main() {
@@ -56,7 +59,8 @@ fn main() {
                 if !usable {
                     continue;
                 }
-                let g = GPtaC::run(rel, &w, c, delta).expect("c >= cmin");
+                let g = GPtaC::run(rel, &w, c, delta, GapPolicy::Strict, CancelToken::inert())
+                    .expect("c >= cmin");
                 ratios.push(g.stats.total_error / base);
             }
             let (mean_c, se_c) = mean_stderr(&ratios);
@@ -79,7 +83,9 @@ fn main() {
                 if !usable {
                     continue;
                 }
-                let g = GPtaE::run(rel, &w, eps, delta, None).expect("valid epsilon");
+                let g =
+                    GPtaE::run(rel, &w, eps, delta, None, GapPolicy::Strict, CancelToken::inert())
+                        .expect("valid epsilon");
                 ratios_e.push(g.stats.total_error / opt_err);
             }
             let (mean_e, se_e) = mean_stderr(&ratios_e);

@@ -6,7 +6,7 @@
 //! heap is substantially larger regardless of δ.
 
 use pta_bench::{delta_name, print_table, row, HarnessArgs, Scale};
-use pta_core::{Delta, GPtaC, GPtaE, Weights};
+use pta_core::{CancelToken, Delta, GPtaC, GPtaE, GapPolicy, Weights};
 use pta_datasets::uniform;
 
 fn main() {
@@ -34,7 +34,8 @@ fn main() {
     let mut rows_a = Vec::new();
     for &c in &cs {
         for &delta in &deltas {
-            let out = GPtaC::run(&rel, &w, c, delta).expect("c >= cmin = 1");
+            let out = GPtaC::run(&rel, &w, c, delta, GapPolicy::Strict, CancelToken::inert())
+                .expect("c >= cmin = 1");
             rows_a.push(row([
                 c.to_string(),
                 delta_name(delta),
@@ -49,7 +50,9 @@ fn main() {
     let mut rows_b = Vec::new();
     for &delta in &deltas {
         for eps in [0.9, 0.65, 0.4, 0.2, 0.1, 0.05, 0.01] {
-            let out = GPtaE::run(&rel, &w, eps, delta, None).expect("valid epsilon");
+            let out =
+                GPtaE::run(&rel, &w, eps, delta, None, GapPolicy::Strict, CancelToken::inert())
+                    .expect("valid epsilon");
             rows_b.push(row([
                 format!("{eps}"),
                 delta_name(delta),
@@ -67,8 +70,12 @@ fn main() {
 
     // Shape checks for a mid-range c.
     let mid_c = 1_000.min(n / 10);
-    let heap_of =
-        |delta: Delta| GPtaC::run(&rel, &w, mid_c, delta).expect("valid").stats.max_heap_size;
+    let heap_of = |delta: Delta| {
+        GPtaC::run(&rel, &w, mid_c, delta, GapPolicy::Strict, CancelToken::inert())
+            .expect("valid")
+            .stats
+            .max_heap_size
+    };
     let (h0, h1, hinf) =
         (heap_of(Delta::Finite(0)), heap_of(Delta::Finite(1)), heap_of(Delta::Unbounded));
     assert_eq!(hinf, n, "delta = inf must buffer the whole gap-free input");

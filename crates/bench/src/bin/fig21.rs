@@ -9,7 +9,7 @@
 
 use pta_baselines::{apca, atc, dwt_top_k, paa, DenseSeries, Padding};
 use pta_bench::{fmt, print_table, row, time, HarnessArgs, Scale};
-use pta_core::{Delta, GPtaC, GPtaE, Weights};
+use pta_core::{CancelToken, Delta, GPtaC, GPtaE, GapPolicy, Weights};
 use pta_datasets::uniform;
 
 fn main() {
@@ -32,8 +32,22 @@ fn main() {
         let c = n / 10;
         let series = DenseSeries::from_sequential(&rel).expect("gap-free");
 
-        let (_, t_gptae) = time(|| GPtaE::run(&rel, &w, 0.65, Delta::Finite(1), None).expect("ok"));
-        let (_, t_gptac) = time(|| GPtaC::run(&rel, &w, c, Delta::Finite(1)).expect("ok"));
+        let (_, t_gptae) = time(|| {
+            GPtaE::run(
+                &rel,
+                &w,
+                0.65,
+                Delta::Finite(1),
+                None,
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .expect("ok")
+        });
+        let (_, t_gptac) = time(|| {
+            GPtaC::run(&rel, &w, c, Delta::Finite(1), GapPolicy::Strict, CancelToken::inert())
+                .expect("ok")
+        });
         let (_, t_atc) = time(|| atc(&rel, &w, 0.01).expect("ok"));
         let (_, t_paa) = time(|| paa(&series, c).expect("ok"));
         let (_, t_apca) = time(|| apca(&series, c, Padding::Zero).expect("ok"));

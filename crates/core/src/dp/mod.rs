@@ -950,11 +950,6 @@ pub fn max_error_with_policy(
     Ok(max_error_over_runs(weights, &stats, &gaps, input.len()))
 }
 
-/// [`max_error`] reusing prebuilt prefix stats.
-pub fn max_error_with(input: &SequentialRelation, weights: &Weights, stats: &PrefixStats) -> f64 {
-    input.segments().into_iter().map(|seg| stats.range_sse(weights, seg)).sum()
-}
-
 /// Sum of per-run SSEs where runs are delimited by the gap vector.
 pub(crate) fn max_error_over_runs(
     weights: &Weights,

@@ -5,6 +5,12 @@
 //! reference the streaming algorithms are proven against (Thms. 2/3), and
 //! one run yields the greedy error for *every* output size at once — the
 //! merge order does not depend on the bound.
+//!
+//! Each bound has one entry point, which takes every setting it reads:
+//! the mergeability policy (§8 gap-tolerant extension) and a
+//! [`CancelToken`], checked once per ingested row and once per merge. A
+//! fired token aborts with [`CoreError::Cancelled`] /
+//! [`CoreError::DeadlineExceeded`].
 
 use pta_temporal::SequentialRelation;
 
@@ -17,30 +23,9 @@ use crate::greedy::GreedyOutcome;
 use crate::policy::GapPolicy;
 use crate::weights::Weights;
 
-/// Greedy size-bounded reduction to `c` tuples.
+/// Greedy size-bounded reduction to `c` tuples under a mergeability
+/// policy (§8 gap-tolerant extension).
 pub fn gms_size_bounded(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-) -> Result<GreedyOutcome, CoreError> {
-    gms_size_bounded_with_policy(input, weights, c, GapPolicy::Strict)
-}
-
-/// Greedy size-bounded reduction under a mergeability policy (§8
-/// gap-tolerant extension).
-pub fn gms_size_bounded_with_policy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-    policy: GapPolicy,
-) -> Result<GreedyOutcome, CoreError> {
-    gms_size_bounded_with_cancel(input, weights, c, policy, CancelToken::inert())
-}
-
-/// [`gms_size_bounded_with_policy`] under a [`CancelToken`], checked once
-/// per ingested row and once per merge. A fired token aborts with
-/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`].
-pub fn gms_size_bounded_with_cancel(
     input: &SequentialRelation,
     weights: &Weights,
     c: usize,
@@ -64,29 +49,9 @@ pub fn gms_size_bounded_with_cancel(
     engine.into_outcome(false)
 }
 
-/// Greedy error-bounded reduction: merge as long as the accumulated error
-/// stays within `epsilon · SSE_max`.
+/// Greedy error-bounded reduction under a mergeability policy: merge as
+/// long as the accumulated error stays within `epsilon · SSE_max`.
 pub fn gms_error_bounded(
-    input: &SequentialRelation,
-    weights: &Weights,
-    epsilon: f64,
-) -> Result<GreedyOutcome, CoreError> {
-    gms_error_bounded_with_policy(input, weights, epsilon, GapPolicy::Strict)
-}
-
-/// Greedy error-bounded reduction under a mergeability policy.
-pub fn gms_error_bounded_with_policy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    epsilon: f64,
-    policy: GapPolicy,
-) -> Result<GreedyOutcome, CoreError> {
-    gms_error_bounded_with_cancel(input, weights, epsilon, policy, CancelToken::inert())
-}
-
-/// [`gms_error_bounded_with_policy`] under a [`CancelToken`], checked once
-/// per ingested row and once per merge.
-pub fn gms_error_bounded_with_cancel(
     input: &SequentialRelation,
     weights: &Weights,
     epsilon: f64,
@@ -110,20 +75,11 @@ pub fn gms_error_bounded_with_cancel(
     engine.into_outcome(false)
 }
 
-/// One full GMS run recording the accumulated error at every intermediate
-/// size: `curve[k − 1]` is the greedy error of reducing to `k` tuples
-/// (`∞` for `k < cmin`, `0` for `k = n`). Fig. 15 plots exactly this.
+/// One full GMS run under [`GapPolicy::Strict`] recording the accumulated
+/// error at every intermediate size: `curve[k − 1]` is the greedy error
+/// of reducing to `k` tuples (`∞` for `k < cmin`, `0` for `k = n`).
+/// Fig. 15 plots exactly this.
 pub fn greedy_error_curve(
-    input: &SequentialRelation,
-    weights: &Weights,
-) -> Result<Vec<f64>, CoreError> {
-    greedy_error_curve_with_cancel(input, weights, CancelToken::inert())
-}
-
-/// [`greedy_error_curve`] under a [`CancelToken`], checked once per
-/// ingested row and once per merge — the deadline path of the facade's
-/// greedy grid queries.
-pub fn greedy_error_curve_with_cancel(
     input: &SequentialRelation,
     weights: &Weights,
     cancel: CancelToken,
@@ -175,7 +131,7 @@ mod tests {
     fn example_17_greedy_vs_optimal() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let g = gms_size_bounded(&input, &w, 4).unwrap();
+        let g = gms_size_bounded(&input, &w, 4, GapPolicy::Strict, CancelToken::inert()).unwrap();
         assert_eq!(g.reduction.len(), 4);
         assert!((g.stats.total_error - 63_000.0).abs() < 1e-6, "{}", g.stats.total_error);
         // z2 = (A, 420, [3, 7]) per Fig. 9.
@@ -192,7 +148,8 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for c in 3..=7 {
-            let g = gms_size_bounded(&input, &w, c).unwrap();
+            let g =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             let recomputed = g.reduction.recompute_sse(&input, &w);
             assert!(
                 (g.stats.total_error - recomputed).abs() < 1e-6 * (1.0 + recomputed),
@@ -206,10 +163,11 @@ mod tests {
     fn error_curve_matches_individual_runs() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let curve = greedy_error_curve(&input, &w).unwrap();
+        let curve = greedy_error_curve(&input, &w, CancelToken::inert()).unwrap();
         assert!(curve[0].is_infinite() && curve[1].is_infinite());
         for c in 3..=7 {
-            let g = gms_size_bounded(&input, &w, c).unwrap();
+            let g =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             assert!(
                 (curve[c - 1] - g.stats.total_error).abs() < 1e-9,
                 "c = {c}: {} vs {}",
@@ -224,7 +182,8 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for c in 3..=7 {
-            let g = gms_size_bounded(&input, &w, c).unwrap();
+            let g =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             let o = size_bounded(&input, &w, c).unwrap();
             assert!(g.stats.total_error >= o.reduction.sse() - 1e-9);
         }
@@ -236,10 +195,12 @@ mod tests {
         let w = Weights::uniform(1);
         let emax = crate::dp::max_error(&input, &w).unwrap();
         for eps in [0.0, 0.01, 0.3, 1.0] {
-            let g = gms_error_bounded(&input, &w, eps).unwrap();
+            let g = gms_error_bounded(&input, &w, eps, GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
             assert!(g.stats.total_error <= eps * emax + 1e-6);
         }
-        let full = gms_error_bounded(&input, &w, 1.0).unwrap();
+        let full =
+            gms_error_bounded(&input, &w, 1.0, GapPolicy::Strict, CancelToken::inert()).unwrap();
         assert_eq!(full.reduction.len(), 3, "eps = 1 reaches cmin");
     }
 
@@ -248,7 +209,7 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         assert!(matches!(
-            gms_size_bounded(&input, &w, 1),
+            gms_size_bounded(&input, &w, 1, GapPolicy::Strict, CancelToken::inert()),
             Err(CoreError::SizeBelowMinimum { cmin: 3, .. })
         ));
     }
@@ -257,7 +218,7 @@ mod tests {
     fn empty_input() {
         let input = SequentialRelation::empty(1);
         let w = Weights::uniform(1);
-        let g = gms_size_bounded(&input, &w, 0).unwrap();
+        let g = gms_size_bounded(&input, &w, 0, GapPolicy::Strict, CancelToken::inert()).unwrap();
         assert!(g.reduction.is_empty());
         assert_eq!(g.stats.merges, 0);
     }

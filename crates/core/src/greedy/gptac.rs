@@ -25,14 +25,10 @@ pub struct GPtaC {
 }
 
 impl GPtaC {
-    /// Creates a reducer targeting `c` output tuples with read-ahead δ.
-    pub fn new(weights: Weights, c: usize, delta: Delta) -> Self {
-        Self::with_policy(weights, c, delta, GapPolicy::Strict)
-    }
-
-    /// [`GPtaC::new`] under a mergeability policy (§8 gap-tolerant
-    /// extension): holes within the tolerance no longer force the stream
-    /// to buffer until the next hard gap.
+    /// Creates a reducer targeting `c` output tuples with read-ahead δ
+    /// under a mergeability policy (§8 gap-tolerant extension): holes
+    /// within the tolerance no longer force the stream to buffer until the
+    /// next hard gap.
     pub fn with_policy(weights: Weights, c: usize, delta: Delta, policy: GapPolicy) -> Self {
         Self { engine: GreedyEngine::with_policy(weights, policy), c, delta }
     }
@@ -108,30 +104,10 @@ impl GPtaC {
         self.engine.into_outcome(clamped)
     }
 
-    /// Convenience: run gPTAc over a complete sequential relation,
-    /// validating the size bound upfront.
+    /// Runs gPTAc over a complete sequential relation under a
+    /// mergeability policy and a [`CancelToken`], validating the size
+    /// bound upfront.
     pub fn run(
-        input: &SequentialRelation,
-        weights: &Weights,
-        c: usize,
-        delta: Delta,
-    ) -> Result<GreedyOutcome, CoreError> {
-        Self::run_with_policy(input, weights, c, delta, GapPolicy::Strict)
-    }
-
-    /// [`GPtaC::run`] under a mergeability policy.
-    pub fn run_with_policy(
-        input: &SequentialRelation,
-        weights: &Weights,
-        c: usize,
-        delta: Delta,
-        policy: GapPolicy,
-    ) -> Result<GreedyOutcome, CoreError> {
-        Self::run_with_cancel(input, weights, c, delta, policy, CancelToken::inert())
-    }
-
-    /// [`GPtaC::run_with_policy`] under a [`CancelToken`].
-    pub fn run_with_cancel(
         input: &SequentialRelation,
         weights: &Weights,
         c: usize,
@@ -166,8 +142,17 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for c in 3..=7 {
-            let a = GPtaC::run(&input, &w, c, Delta::Unbounded).unwrap();
-            let b = gms_size_bounded(&input, &w, c).unwrap();
+            let a = GPtaC::run(
+                &input,
+                &w,
+                c,
+                Delta::Unbounded,
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .unwrap();
+            let b =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             assert_eq!(a.reduction.source_ranges(), b.reduction.source_ranges(), "c = {c}");
             assert!((a.stats.total_error - b.stats.total_error).abs() < 1e-9);
         }
@@ -180,12 +165,16 @@ mod tests {
     fn example_21_heap_stays_small() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let out = GPtaC::run(&input, &w, 3, Delta::Finite(1)).unwrap();
+        let out =
+            GPtaC::run(&input, &w, 3, Delta::Finite(1), GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
         assert_eq!(out.reduction.len(), 3);
         assert_eq!(out.stats.tuples_in, 7);
         assert!(out.stats.max_heap_size <= 5, "max heap {}", out.stats.max_heap_size);
         // δ = ∞ cannot merge before the gap arrives: heap grows further.
-        let lazy = GPtaC::run(&input, &w, 3, Delta::Unbounded).unwrap();
+        let lazy =
+            GPtaC::run(&input, &w, 3, Delta::Unbounded, GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
         assert!(lazy.stats.max_heap_size >= out.stats.max_heap_size);
     }
 
@@ -194,7 +183,9 @@ mod tests {
     fn delta_zero_caps_heap_at_c() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let out = GPtaC::run(&input, &w, 3, Delta::Finite(0)).unwrap();
+        let out =
+            GPtaC::run(&input, &w, 3, Delta::Finite(0), GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
         assert!(out.stats.max_heap_size <= 4, "max heap {}", out.stats.max_heap_size);
         assert_eq!(out.reduction.len(), 3);
     }
@@ -207,7 +198,8 @@ mod tests {
         let w = Weights::uniform(1);
         for delta in [Delta::Finite(0), Delta::Finite(1), Delta::Finite(2), Delta::Unbounded] {
             for c in 3..=6 {
-                let out = GPtaC::run(&input, &w, c, delta).unwrap();
+                let out = GPtaC::run(&input, &w, c, delta, GapPolicy::Strict, CancelToken::inert())
+                    .unwrap();
                 assert_eq!(out.reduction.len(), c);
                 out.reduction.relation().validate().unwrap();
                 let recomputed = out.reduction.recompute_sse(&input, &w);
@@ -222,7 +214,7 @@ mod tests {
     #[test]
     fn streaming_clamps_when_bound_unreachable() {
         let w = Weights::uniform(1);
-        let mut alg = GPtaC::new(w, 1, Delta::Finite(1));
+        let mut alg = GPtaC::with_policy(w, 1, Delta::Finite(1), GapPolicy::Strict);
         let (a, b) = (GroupKey::empty(), GroupKey::empty());
         alg.push(&a, TimeInterval::new(1, 2).unwrap(), &[1.0]).unwrap();
         alg.push(&b, TimeInterval::new(5, 6).unwrap(), &[2.0]).unwrap();
@@ -236,7 +228,7 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         assert!(matches!(
-            GPtaC::run(&input, &w, 2, Delta::Finite(1)),
+            GPtaC::run(&input, &w, 2, Delta::Finite(1), GapPolicy::Strict, CancelToken::inert()),
             Err(CoreError::SizeBelowMinimum { .. })
         ));
     }
@@ -244,7 +236,7 @@ mod tests {
     #[test]
     fn out_of_order_stream_is_rejected() {
         let w = Weights::uniform(1);
-        let mut alg = GPtaC::new(w, 2, Delta::Finite(1));
+        let mut alg = GPtaC::with_policy(w, 2, Delta::Finite(1), GapPolicy::Strict);
         let k = GroupKey::empty();
         alg.push(&k, TimeInterval::new(5, 6).unwrap(), &[1.0]).unwrap();
         let err = alg.push(&k, TimeInterval::new(1, 2).unwrap(), &[1.0]).unwrap_err();

@@ -35,19 +35,10 @@ pub struct GPtaE {
 
 impl GPtaE {
     /// Creates a reducer with error bound `epsilon ∈ [0, 1]`, read-ahead
-    /// δ and the `(n̂, Ê_max)` estimates steering early merging.
-    pub fn new(
-        weights: Weights,
-        epsilon: f64,
-        delta: Delta,
-        estimates: Estimates,
-    ) -> Result<Self, CoreError> {
-        Self::with_policy(weights, epsilon, delta, estimates, GapPolicy::Strict)
-    }
-
-    /// [`GPtaE::new`] under a mergeability policy (§8 gap-tolerant
-    /// extension). Segment accounting for the exact `E_max` follows the
-    /// policy automatically (runs end where keys turn infinite).
+    /// δ, the `(n̂, Ê_max)` estimates steering early merging, and a
+    /// mergeability policy (§8 gap-tolerant extension). Segment accounting
+    /// for the exact `E_max` follows the policy automatically (runs end
+    /// where keys turn infinite).
     pub fn with_policy(
         weights: Weights,
         epsilon: f64,
@@ -172,23 +163,11 @@ impl GPtaE {
         self.engine.into_outcome(false)
     }
 
-    /// Convenience: run gPTAε over a complete sequential relation. When
-    /// `estimates` is `None` the exact values are used, as in the paper's
-    /// δ experiments.
-    pub fn run(
-        input: &SequentialRelation,
-        weights: &Weights,
-        epsilon: f64,
-        delta: Delta,
-        estimates: Option<Estimates>,
-    ) -> Result<GreedyOutcome, CoreError> {
-        let (policy, cancel) = (GapPolicy::Strict, CancelToken::inert());
-        Self::run_with_cancel(input, weights, epsilon, delta, estimates, policy, cancel)
-    }
-
-    /// [`GPtaE::run`] under a mergeability policy and a [`CancelToken`].
+    /// Runs gPTAε over a complete sequential relation under a
+    /// mergeability policy and a [`CancelToken`]. When `estimates` is
+    /// `None` the exact values are used, as in the paper's δ experiments.
     /// The rows enter by group id, so no key is hashed.
-    pub fn run_with_cancel(
+    pub fn run(
         input: &SequentialRelation,
         weights: &Weights,
         epsilon: f64,
@@ -226,8 +205,18 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for eps in [0.0, 0.01, 0.1, 0.3, 0.65, 1.0] {
-            let a = GPtaE::run(&input, &w, eps, Delta::Unbounded, None).unwrap();
-            let b = gms_error_bounded(&input, &w, eps).unwrap();
+            let a = GPtaE::run(
+                &input,
+                &w,
+                eps,
+                Delta::Unbounded,
+                None,
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .unwrap();
+            let b = gms_error_bounded(&input, &w, eps, GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
             assert_eq!(a.reduction.source_ranges(), b.reduction.source_ranges(), "eps = {eps}");
         }
     }
@@ -239,7 +228,16 @@ mod tests {
         let emax = max_error(&input, &w).unwrap();
         for delta in [Delta::Finite(0), Delta::Finite(1), Delta::Finite(2), Delta::Unbounded] {
             for eps in [0.0, 0.1, 0.5, 1.0] {
-                let out = GPtaE::run(&input, &w, eps, delta, None).unwrap();
+                let out = GPtaE::run(
+                    &input,
+                    &w,
+                    eps,
+                    delta,
+                    None,
+                    GapPolicy::Strict,
+                    CancelToken::inert(),
+                )
+                .unwrap();
                 assert!(
                     out.stats.total_error <= eps * emax + 1e-6,
                     "delta {delta:?} eps {eps}: {} > {}",
@@ -258,7 +256,7 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         let est = Estimates::exact(&input, &w).unwrap();
-        let alg = GPtaE::new(w, 0.5, Delta::Finite(1), est).unwrap();
+        let alg = GPtaE::with_policy(w, 0.5, Delta::Finite(1), est, GapPolicy::Strict).unwrap();
         assert!((alg.avg_budget - 19_234.693_877).abs() < 1e-3, "{}", alg.avg_budget);
     }
 
@@ -268,7 +266,8 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         let est = Estimates::exact(&input, &w).unwrap();
-        let mut alg = GPtaE::new(w.clone(), 1.0, Delta::Unbounded, est).unwrap();
+        let mut alg =
+            GPtaE::with_policy(w.clone(), 1.0, Delta::Unbounded, est, GapPolicy::Strict).unwrap();
         for i in 0..input.len() {
             let key = input.group_key(input.group(i)).unwrap().clone();
             alg.push(&key, input.interval(i), input.values(i)).unwrap();
@@ -283,7 +282,16 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         let low = Estimates::new(7.0, 1.0).unwrap();
-        let out = GPtaE::run(&input, &w, 1.0, Delta::Finite(1), Some(low)).unwrap();
+        let out = GPtaE::run(
+            &input,
+            &w,
+            1.0,
+            Delta::Finite(1),
+            Some(low),
+            GapPolicy::Strict,
+            CancelToken::inert(),
+        )
+        .unwrap();
         // Final phase still reaches the maximal reduction.
         assert_eq!(out.reduction.len(), 3);
     }
@@ -292,7 +300,7 @@ mod tests {
     fn invalid_epsilon_rejected() {
         let w = Weights::uniform(1);
         let est = Estimates::new(10.0, 5.0).unwrap();
-        let err = GPtaE::new(w, 1.2, Delta::Finite(1), est).unwrap_err();
+        let err = GPtaE::with_policy(w, 1.2, Delta::Finite(1), est, GapPolicy::Strict).unwrap_err();
         assert!(err.common().is_some_and(pta_temporal::CommonError::is_invalid_parameter));
     }
 }

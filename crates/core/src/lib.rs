@@ -65,11 +65,7 @@ pub use dp::{
 pub use error::CoreError;
 pub use gaps::GapVector;
 pub use greedy::estimate::Estimates;
-pub use greedy::gms::{
-    gms_error_bounded, gms_error_bounded_with_cancel, gms_error_bounded_with_policy,
-    gms_size_bounded, gms_size_bounded_with_cancel, gms_size_bounded_with_policy,
-    greedy_error_curve, greedy_error_curve_with_cancel,
-};
+pub use greedy::gms::{gms_error_bounded, gms_size_bounded, greedy_error_curve};
 pub use greedy::gptac::GPtaC;
 pub use greedy::gptae::GPtaE;
 pub use greedy::{Delta, GreedyOutcome, GreedyStats};

@@ -143,11 +143,6 @@ impl Reduction {
         }
         total
     }
-
-    /// Consumes the reduction, returning the reduced relation.
-    pub fn into_relation(self) -> SequentialRelation {
-        self.relation
-    }
 }
 
 #[cfg(test)]

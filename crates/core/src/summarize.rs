@@ -8,7 +8,10 @@
 //! comparable time-weighted SSE, the wall time, and the algorithm's
 //! output/counters. The facade's `Comparator` runs any set of summarizers
 //! over a bound grid; the registry in `pta-baselines` enumerates them by
-//! name for CLI/bench use.
+//! name for CLI/bench use. Each PTA summarizer has one constructor per
+//! registry entry: [`ExactPta::new`] (`exact`), [`ExactPta::approx`]
+//! (`approx`), [`NaiveDp::new`] (`dp-naive`), [`GreedyPta::new`]
+//! (`greedy`, δ = 1) and [`GreedyPta::offline`] (`gms`, δ = ∞).
 //!
 //! Bound normalization: algorithms that natively take a size bound run
 //! error bounds through [`size_for_error_budget`] (smallest size whose
@@ -26,10 +29,10 @@ use crate::cancel::CancelToken;
 use crate::dp::curve::optimal_error_curve_with_cancel;
 use crate::dp::error_bounded::error_bounded_with_opts;
 use crate::dp::size_bounded::{size_bounded_naive, size_bounded_with_opts};
-use crate::dp::{error_threshold, max_error_with_policy, DpMode, DpOptions, DpStats, DpStrategy};
+use crate::dp::{error_threshold, max_error_with_policy, DpOptions, DpStats, DpStrategy};
 use crate::error::CoreError;
 use crate::gaps::GapVector;
-use crate::greedy::gms::greedy_error_curve_with_cancel;
+use crate::greedy::gms::greedy_error_curve;
 use crate::greedy::gptac::GPtaC;
 use crate::greedy::gptae::GPtaE;
 use crate::greedy::{Delta, GreedyStats};
@@ -384,39 +387,33 @@ pub fn size_for_error_budget(
 // ---------------------------------------------------------------------
 
 /// Exact PTA (`PTAc`/`PTAε`, §5) behind the [`Summarizer`] interface,
-/// with the split-point backtracking mode and the row minimization
-/// strategy as its knobs — both [`DpMode`] paths are registry-reachable
-/// (`exact-table`, `exact-dnc`) next to the auto-selecting `exact`, and
+/// with the row minimization strategy as its one knob: the default
+/// [`DpStrategy::Auto`] is the registry's `exact`, and
 /// [`DpStrategy::Approx`] turns the same summarizer into the certified
-/// `(1 + ε)`-approximate `approx` registry entry.
+/// `(1 + ε)`-approximate `approx` registry entry. Backtracking runs in
+/// [`DpMode::Auto`](crate::DpMode::Auto); [`DpOptions::with_mode`] pins a
+/// mode on the free functions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactPta {
-    mode: DpMode,
     strategy: DpStrategy,
 }
 
 impl ExactPta {
-    /// Exact PTA with [`DpMode::Auto`] backtracking.
+    /// Exact PTA with [`DpMode::Auto`](crate::DpMode::Auto) backtracking.
     pub fn new() -> Self {
-        Self { mode: DpMode::Auto, strategy: DpStrategy::Auto }
-    }
-
-    /// Exact PTA with a pinned backtracking mode.
-    pub fn with_mode(mode: DpMode) -> Self {
-        Self { mode, strategy: DpStrategy::Auto }
+        Self { strategy: DpStrategy::Auto }
     }
 
     /// Certified `(1 + ε)`-approximate PTA: the same DP pipeline under
     /// [`DpStrategy::Approx`], so every [`Summary`] it produces carries
     /// the a posteriori guarantee in [`Summary::certified_ratio`].
     pub fn approx(eps: f64) -> Self {
-        Self { mode: DpMode::Auto, strategy: DpStrategy::Approx(eps) }
+        Self { strategy: DpStrategy::Approx(eps) }
     }
 
     fn opts(&self, view: &SeriesView<'_>) -> DpOptions {
         DpOptions {
             policy: view.policy(),
-            mode: self.mode,
             strategy: self.strategy,
             cancel: view.cancel().clone(),
             ..DpOptions::default()
@@ -426,13 +423,9 @@ impl ExactPta {
 
 impl Summarizer for ExactPta {
     fn name(&self) -> &'static str {
-        if matches!(self.strategy, DpStrategy::Approx(_)) {
-            return "approx";
-        }
-        match self.mode {
-            DpMode::Table => "exact-table",
-            DpMode::DivideConquer => "exact-dnc",
-            DpMode::Auto | DpMode::Budget(_) => "exact",
+        match self.strategy {
+            DpStrategy::Approx(_) => "approx",
+            _ => "exact",
         }
     }
 
@@ -464,21 +457,15 @@ impl Summarizer for ExactPta {
     /// Size grids under [`GapPolicy::Strict`] share one DP: row `k`'s
     /// final cell of a single run *is* the optimal error for size `k`
     /// (Fig. 14's protocol), so the whole grid costs one
-    /// [`crate::optimal_error_curve`] call. Only the auto-selecting `exact`
-    /// and `approx` (whose curve entries are each certified within
-    /// `1 + ε`) take this path — the pinned `exact-table`/`exact-dnc`
-    /// variants exist to exercise their backtracking mode, so they run
-    /// every bound individually (full `DpStats`, honest per-mode wall
-    /// times).
+    /// [`crate::optimal_error_curve`] call; `approx`'s curve entries are
+    /// each certified within `1 + ε`.
     fn summarize_grid(
         &self,
         view: &SeriesView<'_>,
         bounds: &[Bound],
     ) -> Vec<Result<Summary, CoreError>> {
         let sizes = all_sizes(bounds);
-        let shareable = matches!(self.mode, DpMode::Auto | DpMode::Budget(_))
-            && view.policy() == GapPolicy::Strict;
-        let (Some(sizes), true) = (sizes, shareable) else {
+        let (Some(sizes), GapPolicy::Strict) = (sizes, view.policy()) else {
             return bounds.iter().map(|&b| self.summarize(view, b)).collect();
         };
         if sizes.len() < 2 {
@@ -549,9 +536,9 @@ impl Summarizer for NaiveDp {
 }
 
 /// The greedy PTA family (`gPTAc`/`gPTAε`, §6) behind the [`Summarizer`]
-/// interface. `δ = ∞` is the offline GMS strategy (Thms. 2/3) and
-/// registers as `gms`; finite δ is the streaming configuration and
-/// registers as `greedy` (the paper recommends δ = 1).
+/// interface, in two configurations: the streaming one at the
+/// paper-recommended δ = 1 registers as `greedy`, and δ = ∞, the offline
+/// GMS strategy (Thms. 2/3), registers as `gms`.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyPta {
     delta: Delta,
@@ -569,19 +556,9 @@ impl GreedyPta {
         Self { delta: Delta::Finite(1) }
     }
 
-    /// Greedy with an explicit read-ahead δ.
-    pub fn with_delta(delta: Delta) -> Self {
-        Self { delta }
-    }
-
     /// The offline GMS strategy (δ = ∞).
     pub fn offline() -> Self {
         Self { delta: Delta::Unbounded }
-    }
-
-    /// The configured read-ahead.
-    pub fn delta(&self) -> Delta {
-        self.delta
     }
 }
 
@@ -601,17 +578,11 @@ impl Summarizer for GreedyPta {
         let (rel, w) = (view.relation(), view.weights());
         let out = match bound {
             Bound::Size(c) => {
-                GPtaC::run_with_cancel(rel, w, c, self.delta, view.policy(), view.cancel().clone())?
+                GPtaC::run(rel, w, c, self.delta, view.policy(), view.cancel().clone())?
             }
-            Bound::Error(eps) => GPtaE::run_with_cancel(
-                rel,
-                w,
-                eps,
-                self.delta,
-                None,
-                view.policy(),
-                view.cancel().clone(),
-            )?,
+            Bound::Error(eps) => {
+                GPtaE::run(rel, w, eps, self.delta, None, view.policy(), view.cancel().clone())?
+            }
         };
         Ok(Summary {
             algorithm: self.name(),
@@ -645,11 +616,8 @@ impl Summarizer for GreedyPta {
             return bounds.iter().map(|&b| self.summarize(view, b)).collect();
         }
         let start = Instant::now();
-        let curve = match greedy_error_curve_with_cancel(
-            view.relation(),
-            view.weights(),
-            view.cancel().clone(),
-        ) {
+        let curve = match greedy_error_curve(view.relation(), view.weights(), view.cancel().clone())
+        {
             Ok(curve) => curve,
             Err(e) => return bounds.iter().map(|_| Err(e.clone())).collect(),
         };
@@ -759,27 +727,6 @@ mod tests {
         let below = exact.summarize_grid(&view, &[Bound::Size(1), Bound::Size(4)]);
         assert!(matches!(below[0], Err(CoreError::SizeBelowMinimum { .. })));
         assert!(below[1].is_ok());
-    }
-
-    #[test]
-    fn pinned_mode_grids_execute_their_backtracking_mode() {
-        use crate::dp::DpExecMode;
-        let input = fig1c();
-        let view = SeriesView::new(&input, Weights::uniform(1)).unwrap();
-        let bounds: Vec<Bound> = (4..=6).map(Bound::Size).collect();
-        for (mode, exec) in
-            [(DpMode::Table, DpExecMode::Table), (DpMode::DivideConquer, DpExecMode::DivideConquer)]
-        {
-            let grid = ExactPta::with_mode(mode).summarize_grid(&view, &bounds);
-            for point in &grid {
-                let s = point.as_ref().unwrap();
-                let SummaryStats::Dp(stats) = &s.stats else {
-                    panic!("{}: pinned-mode grid point lost its DP stats", s.algorithm);
-                };
-                assert_eq!(stats.mode, exec, "{}", s.algorithm);
-                assert!(matches!(s.detail, SummaryDetail::Reduction(_)));
-            }
-        }
     }
 
     #[test]

@@ -87,77 +87,70 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotone counters, updated with relaxed atomics (they are telemetry,
-/// not synchronization).
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    overloaded: AtomicU64,
-    handled: AtomicU64,
-    ok: AtomicU64,
-    shed_queue_wait: AtomicU64,
-    bad_requests: AtomicU64,
-    handler_panics: AtomicU64,
-    conn_panics: AtomicU64,
-    read_faults: AtomicU64,
-    write_faults: AtomicU64,
-    late_rejects: AtomicU64,
-    rows_kept: AtomicU64,
-    rows_skipped: AtomicU64,
+/// Declares the server counters once: each name and doc yields a relaxed
+/// atomic in `Counters`, a `pub u64` field of [`StatsSnapshot`], its load
+/// in `Counters::snapshot` and its `name=value` pair in the `stats`
+/// response, in declaration order.
+macro_rules! counters {
+    ($($(#[doc = $doc:expr])+ $name:ident,)+) => {
+        /// Monotone counters, updated with relaxed atomics (they are
+        /// telemetry, not synchronization).
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($name: AtomicU64,)+
+        }
+
+        /// A point-in-time copy of the server counters ([`Server::run`]'s
+        /// return value and the `stats` request's payload).
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Appends ` name=value` for every counter, in declaration order.
+            fn write_pairs(&self, out: &mut String) {
+                $(out.push_str(concat!(" ", stringify!($name), "="));
+                out.push_str(&self.$name.to_string());)+
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of the server counters ([`Server::run`]'s return
-/// value and the `stats` request's payload).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
+counters! {
     /// Connections taken off the listener.
-    pub accepted: u64,
+    accepted,
     /// Connections shed because the admission queue was full.
-    pub overloaded: u64,
+    overloaded,
     /// Reduce requests that reached a handler.
-    pub handled: u64,
+    handled,
     /// Reduce requests answered `ok`.
-    pub ok: u64,
+    ok,
     /// Reduce requests shed because their budget was spent in the queue
     /// (they never reached a handler).
-    pub shed_queue_wait: u64,
+    shed_queue_wait,
     /// Request lines that failed to parse.
-    pub bad_requests: u64,
+    bad_requests,
     /// Handler panics isolated to one request.
-    pub handler_panics: u64,
+    handler_panics,
     /// Connection-level panics isolated to one connection.
-    pub conn_panics: u64,
+    conn_panics,
     /// Read faults (timeouts, socket errors, injected).
-    pub read_faults: u64,
+    read_faults,
     /// Write faults (socket errors, injected).
-    pub write_faults: u64,
+    write_faults,
     /// Requests turned away with `shutting-down`.
-    pub late_rejects: u64,
+    late_rejects,
     /// Rows kept at startup ingest (see [`Server::record_ingest`]).
-    pub rows_kept: u64,
+    rows_kept,
     /// Rows skipped at startup ingest.
-    pub rows_skipped: u64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> StatsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            accepted: get(&self.accepted),
-            overloaded: get(&self.overloaded),
-            handled: get(&self.handled),
-            ok: get(&self.ok),
-            shed_queue_wait: get(&self.shed_queue_wait),
-            bad_requests: get(&self.bad_requests),
-            handler_panics: get(&self.handler_panics),
-            conn_panics: get(&self.conn_panics),
-            read_faults: get(&self.read_faults),
-            write_faults: get(&self.write_faults),
-            late_rejects: get(&self.late_rejects),
-            rows_kept: get(&self.rows_kept),
-            rows_skipped: get(&self.rows_skipped),
-        }
-    }
+    rows_skipped,
 }
 
 fn inc(counter: &AtomicU64) {
@@ -192,11 +185,6 @@ impl ServerHandle {
     /// tick and the drain phase begins.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-    }
-
-    /// Whether shutdown has been signalled.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
     }
 
     /// A point-in-time counter snapshot.
@@ -493,28 +481,14 @@ fn handle_reduce(
 }
 
 fn stats_response(ctx: &Ctx<'_>) -> Response {
-    let s = ctx.shared.stats.snapshot();
-    Response::ok(&format!(
-        "stats groups={} n={} curves_cached={} accepted={} overloaded={} handled={} ok={} \
-         shed_queue_wait={} bad_requests={} handler_panics={} conn_panics={} read_faults={} \
-         write_faults={} late_rejects={} rows_kept={} rows_skipped={}",
+    let mut line = format!(
+        "stats groups={} n={} curves_cached={}",
         ctx.store.groups(),
         ctx.store.total_n(),
         ctx.store.curves_cached(),
-        s.accepted,
-        s.overloaded,
-        s.handled,
-        s.ok,
-        s.shed_queue_wait,
-        s.bad_requests,
-        s.handler_panics,
-        s.conn_panics,
-        s.read_faults,
-        s.write_faults,
-        s.late_rejects,
-        s.rows_kept,
-        s.rows_skipped,
-    ))
+    );
+    ctx.shared.stats.snapshot().write_pairs(&mut line);
+    Response::ok(&line)
 }
 
 /// Maps a typed handler failure onto its wire error class.

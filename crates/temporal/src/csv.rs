@@ -38,11 +38,9 @@ pub struct IngestReport {
     pub rows_kept: usize,
     /// Malformed data rows that were skipped.
     pub rows_skipped: usize,
-    /// Zero-based file line numbers of every skipped row, in file order.
-    pub skipped_lines: Vec<usize>,
     /// Rendered errors of the first [`IngestReport::MAX_ERRORS`] skipped
-    /// rows, in file order — a diagnosis sample; the line list above is
-    /// always complete.
+    /// rows, in file order, each prefixed `line N:` with its zero-based
+    /// file line — a diagnosis sample, not a complete list.
     pub first_errors: Vec<String>,
 }
 
@@ -57,7 +55,6 @@ impl IngestReport {
 
     fn record(&mut self, line: usize, err: &TemporalError) {
         self.rows_skipped += 1;
-        self.skipped_lines.push(line);
         if self.first_errors.len() < Self::MAX_ERRORS {
             self.first_errors.push(format!("line {line}: {err}"));
         }
@@ -73,7 +70,6 @@ impl IngestReport {
         self.rows_skipped += chunk.rows_skipped;
         let room = Self::MAX_ERRORS.saturating_sub(self.first_errors.len());
         self.first_errors.extend(chunk.first_errors.into_iter().take(room));
-        self.skipped_lines.extend(chunk.skipped_lines);
     }
 }
 
@@ -548,9 +544,10 @@ mod tests {
         assert!(strict(&schema, &mutated_text).is_err(), "strict must fail on the bad rows");
         let (rel, report) = one_chunk(&schema, &mutated_text, RowPolicy::SkipAndReport).unwrap();
         assert_eq!(report.rows_skipped, 3);
-        assert_eq!(report.skipped_lines, bad.to_vec());
         assert_eq!(report.first_errors.len(), 3);
-        assert!(report.first_errors[0].starts_with("line 10:"), "{:?}", report.first_errors);
+        for (msg, line) in report.first_errors.iter().zip(bad) {
+            assert!(msg.starts_with(&format!("line {line}:")), "{:?}", report.first_errors);
+        }
         assert!(report.has_skips());
         // The survivors are exactly the strict parse of the clean text.
         let clean: Vec<String> = lines
@@ -566,7 +563,7 @@ mod tests {
     }
 
     /// The error-message sample caps at [`IngestReport::MAX_ERRORS`] while
-    /// the skipped-line list stays complete.
+    /// the skip count stays complete.
     #[test]
     fn lenient_error_sample_is_capped() {
         let schema = parse_schema("V:int").unwrap();
@@ -577,8 +574,10 @@ mod tests {
         let (rel, report) = one_chunk(&schema, &text, RowPolicy::SkipAndReport).unwrap();
         assert!(rel.is_empty());
         assert_eq!(report.rows_skipped, IngestReport::MAX_ERRORS + 9);
-        assert_eq!(report.skipped_lines.len(), IngestReport::MAX_ERRORS + 9);
         assert_eq!(report.first_errors.len(), IngestReport::MAX_ERRORS);
+        for (i, msg) in report.first_errors.iter().enumerate() {
+            assert!(msg.starts_with(&format!("line {}:", i + 1)), "{:?}", report.first_errors);
+        }
     }
 
     /// One-chunk and chunked lenient reads are identical — surviving

@@ -113,12 +113,6 @@ impl SequentialRelation {
         self.values[i * self.p + d]
     }
 
-    /// The raw row-major `n × p` value buffer.
-    #[inline]
-    pub fn raw_values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// The interned group keys, indexed by [`GroupId`].
     pub fn group_keys(&self) -> &[GroupKey] {
         &self.group_keys

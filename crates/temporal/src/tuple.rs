@@ -40,11 +40,6 @@ impl Tuple {
     pub fn project(&self, indices: &[usize]) -> Vec<Value> {
         indices.iter().map(|&i| self.values[i].clone()).collect()
     }
-
-    /// Consumes the tuple, returning its parts.
-    pub fn into_parts(self) -> (Vec<Value>, TimeInterval) {
-        (self.values, self.interval)
-    }
 }
 
 impl fmt::Display for Tuple {

@@ -11,7 +11,7 @@
 //! ```
 
 use pta::{Delta, GroupKey, TimeInterval, Value, Weights};
-use pta_core::{pta_size_bounded, GPtaC};
+use pta_core::{pta_size_bounded, GPtaC, GapPolicy};
 use pta_temporal::{SequentialBuilder, SequentialRelation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = Weights::uniform(1);
     println!("sensor feed: {n} readings from 8 sensors; compressing to c = {c}");
 
-    let mut alg = GPtaC::new(w.clone(), c, Delta::Finite(1));
+    let mut alg = GPtaC::with_policy(w.clone(), c, Delta::Finite(1), GapPolicy::Strict);
     let mut peak = 0usize;
     for i in 0..n {
         let key = feed.group_key(feed.group(i))?.clone();

@@ -179,7 +179,7 @@ fn load_relation(args: &Args, threads: usize) -> Result<(TemporalRelation, Inges
         for msg in &report.first_errors {
             eprintln!("  {msg}");
         }
-        let unsampled = report.skipped_lines.len() - report.first_errors.len();
+        let unsampled = report.rows_skipped - report.first_errors.len();
         if unsampled > 0 {
             eprintln!("  ... and {unsampled} more");
         }

@@ -369,16 +369,6 @@ impl MethodCurve {
     pub fn size_at(&self, i: usize) -> usize {
         self.summary_at(i).map_or(0, |s| s.size)
     }
-
-    /// The wall time at grid index `i`.
-    pub fn wall_at(&self, i: usize) -> Option<Duration> {
-        self.summary_at(i).map(|s| s.wall)
-    }
-
-    /// All SSEs in grid order (`∞` for failed points).
-    pub fn sses(&self) -> Vec<f64> {
-        (0..self.points.len()).map(|i| self.sse_at(i)).collect()
-    }
 }
 
 /// The result of a [`Comparator`] run: per-algorithm error/size/time

@@ -323,8 +323,7 @@ impl PtaQuery {
                     // supplied (as in the paper's δ experiments, §7.2.2).
                     let seq = pta_ita::ita(relation, &spec)?;
                     let (est, policy) = (self.estimates, self.policy);
-                    let out =
-                        GPtaE::run_with_cancel(&seq, &weights, eps, delta, est, policy, cancel)?;
+                    let out = GPtaE::run(&seq, &weights, eps, delta, est, policy, cancel)?;
                     (out.reduction, out.stats.tuples_in, ExecutionStats::Greedy(out.stats))
                 }
             },

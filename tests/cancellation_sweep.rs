@@ -22,8 +22,8 @@ mod common;
 
 use common::random_sequential_continuous;
 use pta_core::{
-    gms_size_bounded, gms_size_bounded_with_cancel, pta_size_bounded_with_opts, CancelToken,
-    CoreError, DpMode, DpOptions, DpStrategy, GapPolicy, Weights,
+    gms_size_bounded, pta_size_bounded_with_opts, CancelToken, CoreError, DpMode, DpOptions,
+    DpStrategy, GapPolicy, Weights,
 };
 
 const MODES: [DpMode; 2] = [DpMode::Table, DpMode::DivideConquer];
@@ -105,11 +105,12 @@ fn greedy_size_bounded_cancels_cleanly_at_every_check_site() {
     let input = random_sequential_continuous(901, 90, 1, 0.0, 0.05);
     let w = Weights::uniform(input.dims());
     let c = (input.len() / 5).clamp(2, input.len());
-    let baseline = gms_size_bounded(&input, &w, c).unwrap();
+    let baseline =
+        gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
     let mut fuse = 0usize;
     loop {
         let token = CancelToken::cancel_after_checks(fuse);
-        match gms_size_bounded_with_cancel(&input, &w, c, GapPolicy::Strict, token) {
+        match gms_size_bounded(&input, &w, c, GapPolicy::Strict, token) {
             Err(CoreError::Cancelled { .. }) => {
                 fuse += 1;
                 assert!(fuse < SWEEP_CEILING, "greedy sweep did not terminate");
@@ -124,7 +125,7 @@ fn greedy_size_bounded_cancels_cleanly_at_every_check_site() {
     }
     // n push checks + at least one merge check.
     assert!(fuse > input.len(), "streaming path must check per row and per merge, saw {fuse}");
-    let retry = gms_size_bounded(&input, &w, c).unwrap();
+    let retry = gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
     assert_eq!(retry.reduction.source_ranges(), baseline.reduction.source_ranges());
     assert_eq!(retry.reduction.sse().to_bits(), baseline.reduction.sse().to_bits());
 }

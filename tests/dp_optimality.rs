@@ -7,8 +7,8 @@ mod common;
 use common::{brute_force_optimal, random_sequential, random_sequential_continuous};
 use pta_core::{
     gms_size_bounded, optimal_error_curve, pta_error_bounded, pta_error_bounded_with_opts,
-    pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_with_opts, DpExecMode, DpMode,
-    DpOptions, Weights,
+    pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_with_opts, CancelToken, DpExecMode,
+    DpMode, DpOptions, GapPolicy, Weights,
 };
 use pta_temporal::{GroupKey, SequentialBuilder, SequentialRelation, TimeInterval};
 
@@ -64,7 +64,8 @@ fn greedy_never_beats_dp_and_is_logarithmically_close() {
         for c in [input.cmin(), input.cmin() + 3, input.len() / 2] {
             let c = c.clamp(input.cmin(), input.len());
             let opt = pta_size_bounded(&input, &w, c).unwrap().reduction;
-            let greedy = gms_size_bounded(&input, &w, c).unwrap();
+            let greedy =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             assert!(
                 greedy.stats.total_error >= opt.sse() - 1e-9,
                 "seed {seed} c {c}: greedy {} < optimal {}",
@@ -353,7 +354,7 @@ fn exact_pta_succeeds_beyond_the_old_table_cap() {
         out.reduction.sse()
     );
     // The exact optimum is never worse than greedy merging.
-    let greedy = gms_size_bounded(&input, &w, c).unwrap();
+    let greedy = gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
     assert!(out.reduction.sse() <= greedy.stats.total_error + 1e-6);
 
     // PTAε at ε = 0.5: the minimal satisfying size is n − m where m is

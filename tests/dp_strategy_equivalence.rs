@@ -563,7 +563,7 @@ fn monge_scales_to_two_million_tuples() {
         "sse {} vs recomputed {recomputed}",
         monge_dnc.reduction.sse()
     );
-    let greedy = gms_size_bounded(&big, &w, c).unwrap();
+    let greedy = gms_size_bounded(&big, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
     assert!(monge_dnc.reduction.sse() <= greedy.stats.total_error + 1e-6);
 
     // Scan at a 62×-smaller input, same mode, same c — Monge at 2·10⁶

@@ -5,8 +5,8 @@ mod common;
 use pta::{ita_table, mwta_table, Agg, Algorithm, Bound, Delta, GapPolicy, PtaQuery, Window};
 use pta_core::{
     pta_error_bounded_with_opts, pta_size_bounded, pta_size_bounded_naive,
-    pta_size_bounded_with_opts, Delta as CoreDelta, DpOptions, DpStrategy, Estimates, GPtaC, GPtaE,
-    Weights,
+    pta_size_bounded_with_opts, CancelToken, Delta as CoreDelta, DpOptions, DpStrategy, Estimates,
+    GPtaC, GPtaE, Weights,
 };
 use pta_temporal::{
     CommonError, DataType, GroupInterner, GroupKey, Schema, SequentialBuilder, SequentialRelation,
@@ -22,7 +22,9 @@ fn single_tuple_relation_roundtrips() {
     let out = pta_size_bounded(&input, &w, 1).unwrap();
     assert_eq!(out.reduction.len(), 1);
     assert_eq!(out.reduction.sse(), 0.0);
-    let g = GPtaC::run(&input, &w, 1, CoreDelta::Finite(1)).unwrap();
+    let g =
+        GPtaC::run(&input, &w, 1, CoreDelta::Finite(1), GapPolicy::Strict, CancelToken::inert())
+            .unwrap();
     assert_eq!(g.reduction.len(), 1);
 }
 
@@ -69,7 +71,16 @@ fn identical_values_coalesce_to_zero_error_everywhere() {
         let out = pta_size_bounded(&input, &w, c).unwrap();
         assert_eq!(out.reduction.sse(), 0.0, "c = {c}");
     }
-    let g = GPtaE::run(&input, &w, 0.0, CoreDelta::Finite(1), None).unwrap();
+    let g = GPtaE::run(
+        &input,
+        &w,
+        0.0,
+        CoreDelta::Finite(1),
+        None,
+        GapPolicy::Strict,
+        CancelToken::inert(),
+    )
+    .unwrap();
     assert_eq!(g.reduction.len(), 1, "zero budget still merges zero-cost pairs");
 }
 
@@ -256,7 +267,16 @@ fn streaming_estimates_from_argument_size() {
     let w = Weights::uniform(1);
     let emax = pta_core::max_error(&input, &w).unwrap();
     let est = Estimates::from_argument_size(30, emax * 0.5).unwrap();
-    let out = GPtaE::run(&input, &w, 0.4, CoreDelta::Finite(1), Some(est)).unwrap();
+    let out = GPtaE::run(
+        &input,
+        &w,
+        0.4,
+        CoreDelta::Finite(1),
+        Some(est),
+        GapPolicy::Strict,
+        CancelToken::inert(),
+    )
+    .unwrap();
     assert!(out.stats.total_error <= 0.4 * emax + 1e-6 * (1.0 + emax));
 }
 

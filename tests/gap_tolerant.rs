@@ -7,8 +7,8 @@ mod common;
 
 use common::random_sequential;
 use pta_core::{
-    gms_size_bounded_with_policy, max_error_with_policy, pta_error_bounded_with_opts,
-    pta_size_bounded, pta_size_bounded_with_opts, Delta, DpOptions, GPtaC, GapPolicy, GapVector,
+    gms_size_bounded, max_error_with_policy, pta_error_bounded_with_opts, pta_size_bounded,
+    pta_size_bounded_with_opts, CancelToken, Delta, DpOptions, GPtaC, GapPolicy, GapVector,
     Weights,
 };
 use pta_temporal::{GroupKey, SequentialBuilder, SequentialRelation, TimeInterval, Value};
@@ -102,8 +102,9 @@ fn greedy_respects_policy_and_matches_gms() {
         let policy = GapPolicy::Tolerate { max_gap: 3 };
         let cmin = GapVector::build_with_policy(&input, policy).cmin();
         for c in [cmin, (cmin + input.len()) / 2] {
-            let a = GPtaC::run_with_policy(&input, &w, c, Delta::Unbounded, policy).unwrap();
-            let b = gms_size_bounded_with_policy(&input, &w, c, policy).unwrap();
+            let a =
+                GPtaC::run(&input, &w, c, Delta::Unbounded, policy, CancelToken::inert()).unwrap();
+            let b = gms_size_bounded(&input, &w, c, policy, CancelToken::inert()).unwrap();
             assert_eq!(
                 a.reduction.source_ranges(),
                 b.reduction.source_ranges(),

@@ -7,10 +7,12 @@ use common::random_sequential;
 use pta::{to_temporal_relation, Agg, Algorithm, Bound, ExecutionStats, PtaQuery};
 use pta_core::{
     gms_error_bounded, gms_size_bounded, greedy_error_curve, max_error, CancelToken, Delta,
-    Estimates, GPtaC, GPtaE, GapPolicy, Weights,
+    Estimates, GPtaC, GPtaE, GapPolicy, GapVector, Weights,
 };
 use pta_ita::{ItaQuerySpec, StreamingIta};
-use pta_temporal::{DataType, Schema, TemporalRelation, TimeInterval, Value};
+use pta_temporal::{
+    DataType, Schema, SequentialBuilder, SequentialRelation, TemporalRelation, TimeInterval, Value,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,8 +23,17 @@ fn theorem_2_gptac_with_unbounded_delta_equals_gms() {
         let w = Weights::uniform(1);
         for c in [input.cmin(), (input.cmin() + input.len()) / 2, input.len() - 1] {
             let c = c.clamp(input.cmin(), input.len());
-            let streaming = GPtaC::run(&input, &w, c, Delta::Unbounded).unwrap();
-            let offline = gms_size_bounded(&input, &w, c).unwrap();
+            let streaming = GPtaC::run(
+                &input,
+                &w,
+                c,
+                Delta::Unbounded,
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .unwrap();
+            let offline =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             assert_eq!(
                 streaming.reduction.source_ranges(),
                 offline.reduction.source_ranges(),
@@ -42,8 +53,19 @@ fn theorem_3_gptae_with_unbounded_delta_equals_gms() {
         let input = random_sequential(seed, 40, 1, 0.1, 0.12);
         let w = Weights::uniform(1);
         for eps in [0.1, 0.4, 0.8] {
-            let streaming = GPtaE::run(&input, &w, eps, Delta::Unbounded, None).unwrap();
-            let offline = gms_error_bounded(&input, &w, eps).unwrap();
+            let streaming = GPtaE::run(
+                &input,
+                &w,
+                eps,
+                Delta::Unbounded,
+                None,
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .unwrap();
+            let offline =
+                gms_error_bounded(&input, &w, eps, GapPolicy::Strict, CancelToken::inert())
+                    .unwrap();
             assert_eq!(
                 streaming.reduction.source_ranges(),
                 offline.reduction.source_ranges(),
@@ -61,7 +83,8 @@ fn finite_delta_respects_size_and_error_budgets() {
         let emax = max_error(&input, &w).unwrap();
         for delta in [Delta::Finite(0), Delta::Finite(1), Delta::Finite(3)] {
             let c = (input.cmin() + input.len()) / 2;
-            let out = GPtaC::run(&input, &w, c, delta).unwrap();
+            let out =
+                GPtaC::run(&input, &w, c, delta, GapPolicy::Strict, CancelToken::inert()).unwrap();
             assert_eq!(out.reduction.len(), c, "seed {seed} {delta:?}");
             out.reduction.relation().validate().unwrap();
             let recomputed = out.reduction.recompute_sse(&input, &w);
@@ -71,7 +94,16 @@ fn finite_delta_respects_size_and_error_budgets() {
             );
 
             for eps in [0.2, 0.7] {
-                let out = GPtaE::run(&input, &w, eps, delta, None).unwrap();
+                let out = GPtaE::run(
+                    &input,
+                    &w,
+                    eps,
+                    delta,
+                    None,
+                    GapPolicy::Strict,
+                    CancelToken::inert(),
+                )
+                .unwrap();
                 assert!(
                     out.stats.total_error <= eps * emax + 1e-6 * (1.0 + emax),
                     "seed {seed} {delta:?} eps {eps}"
@@ -86,35 +118,79 @@ fn error_curve_is_consistent_with_runs_and_monotone() {
     for seed in 90..105 {
         let input = random_sequential(seed, 45, 1, 0.1, 0.15);
         let w = Weights::uniform(1);
-        let curve = greedy_error_curve(&input, &w).unwrap();
+        let curve = greedy_error_curve(&input, &w, CancelToken::inert()).unwrap();
         // Monotone: fewer tuples, more error.
         for k in input.cmin()..input.len() {
             assert!(curve[k - 1] >= curve[k] - 1e-9, "seed {seed} k {k}");
         }
         for c in [input.cmin(), input.len() / 2 + 1] {
             let c = c.clamp(input.cmin(), input.len());
-            let run = gms_size_bounded(&input, &w, c).unwrap();
+            let run =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             assert!((curve[c - 1] - run.stats.total_error).abs() < 1e-9, "seed {seed} c {c}");
         }
     }
 }
 
+/// `input` with every other temporal gap narrowed to a one-chronon hole:
+/// `GapPolicy::Tolerate { max_gap: 1 }` bridges those and no others.
+fn narrow_every_other_gap(input: &SequentialRelation) -> SequentialRelation {
+    let mut b = SequentialBuilder::new(input.dims());
+    let (mut shift, mut gaps) = (0, 0);
+    for i in 0..input.len() {
+        let iv = input.interval(i);
+        if i > 0 && input.group(i) == input.group(i - 1) {
+            let hole = iv.start() - input.interval(i - 1).end() - 1;
+            if hole > 0 {
+                gaps += 1;
+                if gaps % 2 == 1 {
+                    shift += hole - 1;
+                }
+            }
+        } else {
+            shift = 0;
+        }
+        let key = input.group_key(input.group(i)).unwrap().clone();
+        let iv = TimeInterval::new(iv.start() - shift, iv.end() - shift).unwrap();
+        b.push(key, iv, input.values(i)).unwrap();
+    }
+    b.build()
+}
+
 #[test]
 fn streaming_push_interface_matches_bulk_run() {
+    let tolerate = GapPolicy::Tolerate { max_gap: 1 };
+    let mut lowered = 0;
     for seed in 110..120 {
-        let input = random_sequential(seed, 35, 1, 0.12, 0.2);
+        let strict = random_sequential(seed, 35, 1, 0.12, 0.2);
+        let narrowed = narrow_every_other_gap(&strict);
         let w = Weights::uniform(1);
-        let c = input.cmin().max(3).min(input.len());
-        let bulk = GPtaC::run(&input, &w, c, Delta::Finite(1)).unwrap();
-        let mut alg = GPtaC::new(w.clone(), c, Delta::Finite(1));
-        for i in 0..input.len() {
-            let key = input.group_key(input.group(i)).unwrap().clone();
-            alg.push(&key, input.interval(i), input.values(i)).unwrap();
+        for input in [&strict, &narrowed] {
+            for policy in [GapPolicy::Strict, tolerate] {
+                let cmin = GapVector::build_with_policy(input, policy).cmin();
+                lowered += usize::from(cmin < input.cmin());
+                let c = cmin.max(3).min(input.len());
+                for delta in [Delta::Finite(0), Delta::Finite(1), Delta::Unbounded] {
+                    let bulk =
+                        GPtaC::run(input, &w, c, delta, policy, CancelToken::inert()).unwrap();
+                    let mut alg = GPtaC::with_policy(w.clone(), c, delta, policy);
+                    for i in 0..input.len() {
+                        let key = input.group_key(input.group(i)).unwrap().clone();
+                        alg.push(&key, input.interval(i), input.values(i)).unwrap();
+                    }
+                    let streamed = alg.finish().unwrap();
+                    let at = format!("seed {seed}, {policy:?}, {delta:?}, c = {c}");
+                    assert_eq!(
+                        bulk.reduction.source_ranges(),
+                        streamed.reduction.source_ranges(),
+                        "{at}"
+                    );
+                    assert_eq!(bulk.stats.max_heap_size, streamed.stats.max_heap_size, "{at}");
+                }
+            }
         }
-        let streamed = alg.finish().unwrap();
-        assert_eq!(bulk.reduction.source_ranges(), streamed.reduction.source_ranges());
-        assert_eq!(bulk.stats.max_heap_size, streamed.stats.max_heap_size);
     }
+    assert!(lowered > 0, "no input where tolerating one-chronon holes lowers cmin");
 }
 
 #[test]
@@ -126,8 +202,18 @@ fn conservative_estimates_preserve_gms_equivalence() {
         let exact = Estimates::exact(&input, &w).unwrap();
         let conservative = Estimates::new(exact.n_hat * 2.0, exact.emax_hat / 2.0).unwrap();
         for eps in [0.3, 0.9] {
-            let a = GPtaE::run(&input, &w, eps, Delta::Unbounded, Some(conservative)).unwrap();
-            let b = gms_error_bounded(&input, &w, eps).unwrap();
+            let a = GPtaE::run(
+                &input,
+                &w,
+                eps,
+                Delta::Unbounded,
+                Some(conservative),
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .unwrap();
+            let b = gms_error_bounded(&input, &w, eps, GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
             assert_eq!(
                 a.reduction.source_ranges(),
                 b.reduction.source_ranges(),
@@ -196,8 +282,7 @@ fn facade_streamed_and_offline_gptae_agree_bit_for_bit() {
                     }
                     let streamed = alg.finish().unwrap();
                     let inert = CancelToken::inert();
-                    let offline =
-                        GPtaE::run_with_cancel(&ita, &w, eps, delta, None, policy, inert).unwrap();
+                    let offline = GPtaE::run(&ita, &w, eps, delta, None, policy, inert).unwrap();
                     let offline_table =
                         to_temporal_relation(offline.reduction.relation(), &["G"], &["avg_V"])
                             .unwrap();

@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pta_core::{
-    gms_size_bounded, max_error, optimal_error_curve, pta_error_bounded, pta_size_bounded, Delta,
-    GPtaC, PrefixStats, Weights,
+    gms_size_bounded, max_error, optimal_error_curve, pta_error_bounded, pta_size_bounded,
+    CancelToken, Delta, GPtaC, GapPolicy, PrefixStats, Weights,
 };
 use pta_ita::{ita, AggregateSpec, ItaQuerySpec};
 use pta_temporal::{
@@ -136,7 +136,7 @@ fn curves_are_ordered() {
         let w = Weights::uniform(input.dims());
         let n = input.len();
         let opt = optimal_error_curve(&input, &w, n).unwrap();
-        let greedy = pta_core::greedy_error_curve(&input, &w).unwrap();
+        let greedy = pta_core::greedy_error_curve(&input, &w, CancelToken::inert()).unwrap();
         for k in 1..n {
             assert!(opt[k - 1] >= opt[k] - 1e-9, "seed {seed}: curve rises at {k}");
         }
@@ -191,8 +191,10 @@ fn bounded_and_streaming_consistency() {
         );
 
         let c = input.cmin();
-        let a = GPtaC::run(&input, &w, c, Delta::Unbounded).unwrap();
-        let b = gms_size_bounded(&input, &w, c).unwrap();
+        let a =
+            GPtaC::run(&input, &w, c, Delta::Unbounded, GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
+        let b = gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
         assert_eq!(
             a.reduction.source_ranges(),
             b.reduction.source_ranges(),

@@ -100,6 +100,37 @@ fn fault_free_wire_contract_end_to_end() {
     let stats = client.request("stats").unwrap();
     assert!(stats.starts_with("ok stats groups=2 "), "got {stats:?}");
     assert!(stats.contains("curves_cached=2"), "both curves should be cached: {stats:?}");
+    // The whole key list, in wire order, each key once with a count.
+    let keys: Vec<&str> = stats["ok stats ".len()..]
+        .split(' ')
+        .map(|pair| {
+            let (key, value) = pair.split_once('=').expect("key=value");
+            assert!(value.parse::<u64>().is_ok(), "{key}={value} in {stats:?}");
+            key
+        })
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "groups",
+            "n",
+            "curves_cached",
+            "accepted",
+            "overloaded",
+            "handled",
+            "ok",
+            "shed_queue_wait",
+            "bad_requests",
+            "handler_panics",
+            "conn_panics",
+            "read_faults",
+            "write_faults",
+            "late_rejects",
+            "rows_kept",
+            "rows_skipped",
+        ],
+        "{stats:?}"
+    );
 
     assert_eq!(client.request("shutdown").unwrap(), "ok shutting-down");
     let final_stats = join.join().expect("run() returns");

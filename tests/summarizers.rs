@@ -6,7 +6,9 @@
 
 use pta::{Bound, SeriesView, Summarizer, Weights};
 use pta_baselines::{apca, atc_size_targeted, chebyshev, dft, dwt_for_size, paa, sax, Padding};
-use pta_core::{pta_error_bounded, pta_size_bounded, Delta, DenseSeries, GPtaC, GPtaE};
+use pta_core::{
+    pta_error_bounded, pta_size_bounded, CancelToken, Delta, DenseSeries, GPtaC, GPtaE, GapPolicy,
+};
 use pta_temporal::SequentialRelation;
 
 /// A deterministic, non-trivial single-run series (48 chronons).
@@ -55,17 +57,30 @@ fn greedy_adapters_are_bit_identical_to_the_streaming_runners() {
     let view = SeriesView::new(&rel, w.clone()).unwrap();
     for c in [2usize, 6, 15] {
         let s = summarizer("greedy").summarize(&view, Bound::Size(c)).unwrap();
-        let direct = GPtaC::run(&rel, &w, c, Delta::Finite(1)).unwrap();
+        let direct =
+            GPtaC::run(&rel, &w, c, Delta::Finite(1), GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
         assert_eq!(s.sse, direct.stats.total_error, "c = {c}");
         assert_eq!(s.size, direct.reduction.len(), "c = {c}");
 
         let s = summarizer("gms").summarize(&view, Bound::Size(c)).unwrap();
-        let direct = GPtaC::run(&rel, &w, c, Delta::Unbounded).unwrap();
+        let direct =
+            GPtaC::run(&rel, &w, c, Delta::Unbounded, GapPolicy::Strict, CancelToken::inert())
+                .unwrap();
         assert_eq!(s.sse, direct.stats.total_error, "gms c = {c}");
     }
     for eps in [0.1, 0.5] {
         let s = summarizer("greedy").summarize(&view, Bound::Error(eps)).unwrap();
-        let direct = GPtaE::run(&rel, &w, eps, Delta::Finite(1), None).unwrap();
+        let direct = GPtaE::run(
+            &rel,
+            &w,
+            eps,
+            Delta::Finite(1),
+            None,
+            GapPolicy::Strict,
+            CancelToken::inert(),
+        )
+        .unwrap();
         assert_eq!(s.sse, direct.stats.total_error, "eps = {eps}");
         assert_eq!(s.size, direct.reduction.len(), "eps = {eps}");
     }

@@ -13,7 +13,9 @@
 mod common;
 
 use pta_baselines::{DenseSeries, PiecewiseConstant};
-use pta_core::{gms_size_bounded, pta_size_bounded, Delta, GPtaC, PrefixStats, Weights};
+use pta_core::{
+    gms_size_bounded, pta_size_bounded, CancelToken, Delta, GPtaC, GapPolicy, PrefixStats, Weights,
+};
 use pta_temporal::SequentialRelation;
 
 /// Chronon-space segment boundaries of a tuple-index segmentation.
@@ -40,9 +42,18 @@ fn greedy_dp_and_baseline_errors_agree_on_series_inputs() {
 
         for c in [1usize, 2, (n / 2).max(1), n] {
             // Greedy: SSE accumulated from dsim heap keys while merging.
-            let greedy = gms_size_bounded(&input, &w, c).unwrap();
+            let greedy =
+                gms_size_bounded(&input, &w, c, GapPolicy::Strict, CancelToken::inert()).unwrap();
             // Streaming greedy with unbounded buffer does the same merges.
-            let streaming = GPtaC::run(&input, &w, c, Delta::Unbounded).unwrap();
+            let streaming = GPtaC::run(
+                &input,
+                &w,
+                c,
+                Delta::Unbounded,
+                GapPolicy::Strict,
+                CancelToken::inert(),
+            )
+            .unwrap();
             // Exact DP: SSE from the prefix-sum kernel during table fill.
             let dp = pta_size_bounded(&input, &w, c).unwrap();
 
